@@ -45,9 +45,6 @@ Broad scenario coverage goes through :class:`ScenarioMatrix` /
 product executed on a process pool with bit-reproducible results.
 """
 
-import typing as _t
-import warnings as _warnings
-
 from .adapter import AdapterService, HitMissSupervisor, JanusAdapter
 from .api import ComparisonReport, Session
 from .cluster import (
@@ -135,58 +132,7 @@ from .workflow import (
     video_analytics,
 )
 
-__version__ = "1.2.0"
-
-#: Pre-unification names kept importable from the top level. Accessing one
-#: emits a DeprecationWarning pointing at the unified replacement; the
-#: aliases are scheduled for removal two minor releases out (see
-#: CHANGES.md). The canonical classes remain importable from their
-#: submodules without a warning. Deliberately absent from ``__all__`` so a
-#: ``from repro import *`` of non-deprecated names stays warning-free.
-_DEPRECATED_ALIASES: dict[str, tuple[str, str, str]] = {
-    # name -> (module, attribute, replacement hint)
-    "DagAnalyticExecutor": (
-        "repro.runtime.dag_executor", "DagAnalyticExecutor",
-        'get_executor("dag", workflow) or Session(...).executor()',
-    ),
-    "DagSizingPolicy": (
-        "repro.policies.dag", "DagSizingPolicy",
-        "the unified repro.SizingPolicy (override size_for_node)",
-    ),
-    "DagJanusPolicy": (
-        "repro.policies.dag", "DagJanusPolicy",
-        'POLICIES.build("Janus", workflow, profiles) or Session.policy("Janus")',
-    ),
-    "DagGrandSLAMPolicy": (
-        "repro.policies.dag", "DagGrandSLAMPolicy",
-        'POLICIES.build("GrandSLAM", workflow, profiles)',
-    ),
-    "DagWorkflowHints": (
-        "repro.synthesis.dag", "DagWorkflowHints",
-        "Session.synthesize() (topology-dispatched)",
-    ),
-    "synthesize_dag_hints": (
-        "repro.synthesis.dag", "synthesize_dag_hints",
-        "Session.synthesize() (topology-dispatched)",
-    ),
-}
-
-
-def __getattr__(name: str) -> _t.Any:
-    try:
-        module, attr, replacement = _DEPRECATED_ALIASES[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _warnings.warn(
-        f"repro.{name} is deprecated since the Session/registry unification "
-        f"(1.1.0) and will be removed in 1.3.0; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    return getattr(importlib.import_module(module), attr)
-
+__version__ = "1.3.0"
 
 __all__ = [
     "__version__",

@@ -33,12 +33,12 @@ import dataclasses
 import math
 import typing as _t
 
+import numpy as np
+
 from ..cluster.faults import compile_region_failover
-from ..errors import ExperimentError
 from ..rng import child_seed
-from ..runtime.driver import compare
-from ..runtime.results import RunResult
-from ..workflow.request import RequestOutcome, WorkflowRequest
+from ..runtime.results import OutcomeColumns, RunResult
+from ..workflow.request import WorkflowRequest
 from .routing import RoutingPlan, route_requests
 from .topology import FleetConfig
 
@@ -83,14 +83,6 @@ def region_arrival(arrival, region_index: int, n_regions: int):
     return dataclasses.replace(arrival, phase=arrival.phase + offset)
 
 
-def _region_arrival(scenario: "Scenario", region_index: int):
-    return region_arrival(
-        scenario.effective_arrival(),
-        region_index,
-        len(scenario.fleet.regions),
-    )
-
-
 def fleet_requests(
     workflow: "Workflow", scenario: "Scenario", slo_ms: float
 ) -> tuple[list[WorkflowRequest], list[int]]:
@@ -101,66 +93,65 @@ def fleet_requests(
     byte-identical to the single-region sibling's
     (:func:`~repro.scenarios.runner.scenario_requests`).
     """
-    from ..scenarios.runner import merge_tenant_streams, scenario_requests
-    from ..traces.workload import WorkloadConfig, generate_requests
+    from ..scenarios.runner import (
+        _arrival_merge,
+        _tenant_plan,
+        merge_tenant_streams,
+        scenario_requests,
+    )
+    from ..traces.workload import generate_requests
 
     fleet = scenario.fleet
-    per_region: list[list[WorkflowRequest]] = []
-    for r, name in enumerate(fleet.regions):
-        if r == 0:
-            per_region.append(scenario_requests(workflow, scenario, slo_ms))
-            continue
-        streams = [
-            generate_requests(
-                workflow,
-                WorkloadConfig(
-                    n_requests=scenario.n_requests,
-                    arrival=_region_arrival(scenario, r),
-                    slo_ms=slo_ms,
-                ),
-                seed=child_seed(
-                    scenario.seed, "region", name, "tenant", str(tenant)
-                ),
-            )
-            for tenant in range(scenario.tenants)
-        ]
+    per_region = [scenario_requests(workflow, scenario, slo_ms)]
+    for r, name in enumerate(fleet.regions[1:], start=1):
+        config, seeds = _tenant_plan(
+            scenario, slo_ms,
+            region_arrival(scenario.effective_arrival(), r, len(fleet.regions)),
+            ("region", name),
+        )
+        streams = [generate_requests(workflow, config, seed=s) for s in seeds]
         per_region.append(
             streams[0] if scenario.tenants == 1
             else merge_tenant_streams(streams)
         )
-    # Same total-order merge key shape as merge_tenant_streams, one level
-    # up: deterministic even when regions share timestamps.
-    tagged = [
-        (req.arrival_ms, region, req.request_id, req)
-        for region, stream in enumerate(per_region)
-        for req in stream
-    ]
-    tagged.sort(key=lambda item: item[:3])
-    requests = [
-        dataclasses.replace(req, request_id=i)
-        for i, (_, _, _, req) in enumerate(tagged)
-    ]
-    homes = [region for _, region, _, _ in tagged]
-    return requests, homes
+    # The tenant merge one level up: deterministic even when regions share
+    # timestamps; each request's source stream is its home region.
+    return _arrival_merge(per_region)
 
 
-def _shift_stages(outcome: RequestOutcome, rtt_ms: float) -> RequestOutcome:
-    """A remote-served outcome pays the cross-region hop: every stage of
-    its timeline shifts by the RTT, so end-to-end latency grows by exactly
+def _merge_columns(
+    parts: list[tuple[list[int], OutcomeColumns]], rtt_ms: np.ndarray
+) -> OutcomeColumns:
+    """Put each region's rows back at their global request positions.
+
+    A remote-served request pays the cross-region hop: its whole stage
+    timeline shifts by the RTT, so end-to-end latency grows by exactly
     the link penalty while per-stage durations (and allocations) stay
-    untouched."""
-    if rtt_ms == 0.0:
-        return outcome
-    return dataclasses.replace(
-        outcome,
-        stages=[
-            dataclasses.replace(
-                stage,
-                start_ms=stage.start_ms + rtt_ms,
-                end_ms=stage.end_ms + rtt_ms,
-            )
-            for stage in outcome.stages
-        ],
+    untouched.
+    """
+    functions = parts[0][1].functions
+    regions = [columns.reordered(functions) for _, columns in parts]
+    back = np.argsort(np.concatenate([indices for indices, _ in parts]))
+
+    def merged(pick: _t.Callable[[OutcomeColumns], np.ndarray]) -> np.ndarray:
+        return np.concatenate([pick(columns) for columns in regions])[back]
+
+    order = None
+    if any(columns.order is not None for columns in regions):
+        identity = np.arange(len(functions))
+        order = merged(
+            lambda c: c.order if c.order is not None
+            else np.tile(identity, (c.n, 1))
+        )
+    return OutcomeColumns(
+        request_ids=np.arange(back.size, dtype=np.int64),
+        arrivals=merged(lambda c: c.arrivals),
+        slos=merged(lambda c: c.slos),
+        functions=functions,
+        sizes=merged(lambda c: c.sizes),
+        starts=merged(lambda c: c.starts) + rtt_ms[:, None],
+        ends=merged(lambda c: c.ends) + rtt_ms[:, None],
+        order=order,
     )
 
 
@@ -173,10 +164,7 @@ def _merge_region_extras(
     sum. ``hit_rate`` is read off the (shared) policy object after each
     region run, so the last reading already aggregates the whole cell.
     """
-    keys: dict[str, None] = {}
-    for _, extras in per_region:
-        for key in extras:
-            keys.setdefault(key)
+    keys = dict.fromkeys(key for _, extras in per_region for key in extras)
     merged: dict[str, float] = {}
     for key in keys:
         readings = [
@@ -203,7 +191,7 @@ def run_fleet_scenario(
     suite: _t.Mapping[str, "SizingPolicy"],
 ) -> "ScenarioResult":
     """Evaluate one fleet cell end to end (see the module docstring)."""
-    from ..scenarios.report import CARRIED_EXTRAS, ScenarioResult
+    from ..scenarios.runner import cell_result
 
     fleet: FleetConfig = scenario.fleet
     n_regions = len(fleet.regions)
@@ -242,96 +230,63 @@ def run_fleet_scenario(
         by_region[region].append(i)
 
     backend = session.executor(scenario.executor)
+    rtt_ms = np.asarray(plan.rtt_ms, dtype=np.float64)
+    served_names = [
+        fleet.regions[r] for r in range(n_regions) if by_region[r]
+    ]
+    remote_fraction = (
+        sum(1 for i, h in enumerate(homes) if plan.assigned[i] != h) / total
+    )
     results: dict[str, RunResult] = {}
-    region_violations: dict[str, list[int]] = {}
-    region_extras: dict[str, list[tuple[int, dict[str, _t.Any]]]] = {}
+    fleet_extras: dict[str, dict[str, float]] = {}
     for name, policy in suite.items():
-        merged: list[RequestOutcome | None] = [None] * total
+        parts: list[tuple[list[int], OutcomeColumns]] = []
         collected: list[tuple[int, dict[str, _t.Any]]] = []
-        violations = [0] * n_regions
-        for region, indices in enumerate(by_region):
+        for indices in by_region:
             if not indices:
                 continue
             # Each region serves its assigned sub-stream under locally
             # contiguous ids (executors may index arrays by request id);
-            # outcomes map back to global ids on merge.
+            # rows map back to global ids on merge.
             sub = [
                 dataclasses.replace(requests[i], request_id=j)
                 for j, i in enumerate(indices)
             ]
             result = backend.run(policy, sub)
             collected.append((len(indices), dict(result.extras)))
-            for j, i in enumerate(indices):
-                outcome = _shift_stages(
-                    result.outcomes[j], plan.rtt_ms[i]
-                )
-                outcome = dataclasses.replace(outcome, request_id=i)
-                merged[i] = outcome
-                if not outcome.slo_met:
-                    violations[region] += 1
-        if any(o is None for o in merged):  # pragma: no cover - invariant
-            raise ExperimentError(
-                f"fleet cell {scenario.scenario_id}: routing lost requests"
-            )
-        results[name] = RunResult(policy_name=name, outcomes=merged)
-        region_violations[name] = violations
-        region_extras[name] = collected
-
-    baseline = scenario.baseline
-    if baseline is None:
-        baseline = "Optimal" if "Optimal" in results else next(iter(results))
-    table = compare(results, baseline=baseline)
-
-    extras: dict[str, dict[str, float]] = {}
-    for name in results:
-        merged_extras = _merge_region_extras(region_extras[name])
-        vals = {
-            key: float(merged_extras[key])
-            for key in CARRIED_EXTRAS
-            if key in merged_extras
-        }
-        vals["fleet_spillovers"] = float(plan.spillovers)
-        vals["fleet_failovers"] = float(plan.failovers)
-        vals["fleet_remote_fraction"] = (
-            sum(1 for i, h in enumerate(homes) if plan.assigned[i] != h)
-            / total
+            parts.append((indices, result.columns))
+        columns = _merge_columns(parts, rtt_ms)
+        results[name] = RunResult(
+            name, columns=columns, extras=_merge_region_extras(collected)
         )
-        vals["fleet_rtt_penalty_ms"] = sum(plan.rtt_ms) / total
+        met = columns.slo_met()
+        vals = {
+            "fleet_spillovers": float(plan.spillovers),
+            "fleet_failovers": float(plan.failovers),
+            "fleet_remote_fraction": remote_fraction,
+            "fleet_rtt_penalty_ms": sum(plan.rtt_ms) / total,
+        }
         # Per-region accounting keys carry the region name; they live in
         # the JSON extras only (the CSV promotes the fixed fleet columns
         # above, like every other extra).
         for region, region_name in enumerate(fleet.regions):
             served = plan.region_counts[region]
+            violations = served - int(met[by_region[region]].sum())
             vals[f"fleet_share_{region_name}"] = served / total
             vals[f"fleet_slo_{region_name}"] = (
-                1.0 - region_violations[name][region] / served
-                if served
-                else 1.0
+                1.0 - violations / served if served else 1.0
             )
         # Per-region cold starts where the platform reports them: the
         # collected list is ordered by region index over served regions.
-        served_regions = [
-            r for r in range(n_regions) if by_region[r]
-        ]
-        for (served, raw), region in zip(
-            region_extras[name], served_regions
-        ):
+        for (_, raw), region_name in zip(collected, served_names):
             if "cold_start_rate" in raw:
-                vals[
-                    f"fleet_cold_start_rate_{fleet.regions[region]}"
-                ] = float(raw["cold_start_rate"])
-        extras[name] = vals
+                vals[f"fleet_cold_start_rate_{region_name}"] = float(
+                    raw["cold_start_rate"]
+                )
+        fleet_extras[name] = vals
 
-    return ScenarioResult(
-        scenario_id=scenario.scenario_id,
-        workflow=scenario.workflow,
-        arrival=scenario.arrival.label,
-        slo_scale=scenario.slo_scale,
-        tenants=scenario.tenants,
-        slo_ms=slo_ms,
-        seed=scenario.seed,
-        baseline=baseline,
-        executor=f"Fleet[{n_regions}x{type(backend).__name__}]",
-        table=table,
-        extras=extras,
+    return cell_result(
+        scenario, slo_ms, results,
+        f"Fleet[{n_regions}x{type(backend).__name__}]",
+        added_extras=fleet_extras,
     )

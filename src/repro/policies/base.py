@@ -52,13 +52,6 @@ class SizingPolicy(abc.ABC):
     #: :meth:`bind` to (re)derive it from the workflow they serve.
     stage_order: tuple[str, ...] | None = None
 
-    #: True when sizing depends only on ``(node, request, elapsed)`` — not
-    #: on the interleaving of calls across requests — so executors may run
-    #: the batched :meth:`sizes_for_node` path (hooks fire begin-all /
-    #: node-major / end-all instead of request-major). Order-dependent
-    #: policies set this False to force the scalar request-major path.
-    vector_safe: bool = True
-
     #: Workflow this policy was last bound to (identity-checked by bind()).
     _bound_workflow: "Workflow | None" = None
 
@@ -125,6 +118,9 @@ class SizingPolicy(abc.ABC):
         third-party policy automatically works under the batched executors;
         the registry policies override this with native vector lookups.
         Elements are bit-identical to the scalar calls by construction.
+        Batched executors fire hooks begin-all / node-major / end-all, so
+        sizing must depend only on ``(node, request, elapsed)``, not on the
+        interleaving of calls across requests.
         """
         elapsed = np.asarray(elapsed_ms, dtype=np.float64).tolist()
         return np.fromiter(

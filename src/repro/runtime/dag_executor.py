@@ -6,181 +6,41 @@ concurrently with sibling branches, and the request completes when every
 sink has finished. End-to-end latency is therefore the critical-path length
 under the realised per-stage durations.
 
-Sizing decisions happen at each function's start time with the elapsed
-wall-clock at that moment — the same information a provider-side adapter
-would have. Like the chain backend, the hot path is batched: each node is
-evaluated across the whole request stream along topological order, with
-start offsets folded as an elementwise maximum over predecessor completion
-arrays; stage records are materialised column-wise with a per-request
-stable completion-order permutation (the scalar reference sorts stages by
-end time). Registered as ``"dag"`` — the auto-selected backend for
-branching workflows; on a chain it degenerates to exactly the analytic
-backend's sequential replay.
+The walk itself is the analytic backend's (:mod:`repro.runtime.executor`)
+over every node of :attr:`~repro.workflow.catalog.Workflow.dag` instead
+of the chain; outcome stages are reported in completion order. Registered
+as ``"dag"`` — the auto-selected backend for branching workflows; on a
+chain it serves the same path graph as ``"analytic"``.
 """
 
 from __future__ import annotations
 
 import typing as _t
 
-import numpy as np
-
-from ..errors import ExperimentError
 from ..policies.base import SizingPolicy
 from ..workflow.catalog import Workflow
-from ..workflow.request import RequestOutcome, StageRecord, WorkflowRequest
-from .executor import _dynamics_columns, _request_columns, _run_hooks
+from ..workflow.request import WorkflowRequest
+from .executor import Graph, _GraphExecutor
 from .registry import register_executor
-from .results import (
-    ColumnarRunResult,
-    OutcomeColumns,
-    RunResult,
-    collect_policy_extras,
-)
+from .results import RunResult
 
 __all__ = ["DagAnalyticExecutor"]
 
 
 @register_executor("dag")
-class DagAnalyticExecutor:
+class DagAnalyticExecutor(_GraphExecutor):
     """Replays request streams through a DAG under a sizing policy."""
 
-    def __init__(self, workflow: Workflow, clamp_sizes: bool = True) -> None:
-        self.workflow = workflow
-        self.clamp_sizes = bool(clamp_sizes)
-
-    # -- scalar reference --------------------------------------------------
-    def run_request(
-        self, policy: SizingPolicy, request: WorkflowRequest
-    ) -> RequestOutcome:
-        """Serve one request; returns its outcome (stages sorted by end).
-
-        Scalar reference implementation for the batched path (and the
-        entry point for one-off serving and direct tests).
-        """
-        policy.bind(self.workflow)
-        return self._serve_one(policy, request)
-
-    def _serve_one(
-        self, policy: SizingPolicy, request: WorkflowRequest
-    ) -> RequestOutcome:
-        """Scalar serving loop; assumes the policy is already bound."""
-        dag = self.workflow.dag
-        limits = self.workflow.limits
-        policy.begin_request(request)
-        end_times: dict[str, float] = {}
-        stages: list[StageRecord] = []
-        # Topological order guarantees predecessors are resolved first.
-        for fname in dag.nodes:
-            preds = dag.predecessors(fname)
-            start_offset = max((end_times[p] for p in preds), default=0.0)
-            size = policy.size_for_node(fname, request, start_offset)
-            if self.clamp_sizes:
-                size = limits.clamp(size)
-            elif not limits.contains(size):
-                raise ExperimentError(
-                    f"{policy.name}: size {size} off-grid for {fname}"
-                )
-            model = self.workflow.model(fname)
-            exec_ms = model.execution_time(
-                size, request.dynamics_for(fname), request.concurrency
-            )
-            end_times[fname] = start_offset + exec_ms
-            stages.append(
-                StageRecord(
-                    function=fname,
-                    size=size,
-                    start_ms=request.arrival_ms + start_offset,
-                    end_ms=request.arrival_ms + end_times[fname],
-                )
-            )
-        policy.end_request(request)
-        stages.sort(key=lambda s: s.end_ms)
-        return RequestOutcome(
-            request_id=request.request_id,
-            arrival_ms=request.arrival_ms,
-            slo_ms=request.slo_ms,
-            stages=stages,
+    @staticmethod
+    def _served_graph(workflow: Workflow) -> Graph:
+        nodes = tuple(workflow.dag.nodes)
+        return nodes, tuple(
+            tuple(nodes.index(p) for p in workflow.dag.predecessors(name))
+            for name in nodes
         )
 
-    # -- batched core ------------------------------------------------------
-    def _serve_batch(
-        self, policy: SizingPolicy, requests: _t.Sequence[WorkflowRequest]
-    ) -> OutcomeColumns:
-        """Serve a batch node-by-node along topological order."""
-        dag = self.workflow.dag
-        limits = self.workflow.limits
-        n = len(requests)
-        _run_hooks(policy, requests, "begin_request")
-        ids, arrivals, slos, concurrencies = _request_columns(requests)
-        nodes = tuple(dag.nodes)
-        sizes = np.empty((n, len(nodes)), dtype=np.int64)
-        starts = np.empty((n, len(nodes)), dtype=np.float64)
-        ends = np.empty((n, len(nodes)), dtype=np.float64)
-        end_offsets: dict[str, np.ndarray] = {}
-        for j, fname in enumerate(nodes):
-            preds = dag.predecessors(fname)
-            if preds:
-                start_offset = end_offsets[preds[0]]
-                for p in preds[1:]:
-                    start_offset = np.maximum(start_offset, end_offsets[p])
-            else:
-                start_offset = np.zeros(n, dtype=np.float64)
-            ks = np.asarray(
-                policy.sizes_for_node(fname, requests, start_offset),
-                dtype=np.int64,
-            )
-            if self.clamp_sizes:
-                ks = limits.clamp_array(ks)
-            else:
-                on_grid = limits.contains_array(ks)
-                if not bool(on_grid.all()):
-                    bad = int(ks[np.flatnonzero(~on_grid)[0]])
-                    raise ExperimentError(
-                        f"{policy.name}: size {bad} off-grid for {fname}"
-                    )
-            worksets, noise_zs, interferences = _dynamics_columns(
-                requests, fname
-            )
-            exec_ms = self.workflow.model(fname).execution_times(
-                ks, worksets, noise_zs, interferences, concurrencies
-            )
-            end_offset = start_offset + exec_ms
-            end_offsets[fname] = end_offset
-            sizes[:, j] = ks
-            starts[:, j] = arrivals + start_offset
-            ends[:, j] = arrivals + end_offset
-        _run_hooks(policy, requests, "end_request")
-        # Stable argsort matches the scalar reference's stable stage sort
-        # (ties keep topological order).
-        order = np.argsort(ends, axis=1, kind="stable")
-        return OutcomeColumns(
-            request_ids=ids,
-            arrivals=arrivals,
-            slos=slos,
-            functions=nodes,
-            sizes=sizes,
-            starts=starts,
-            ends=ends,
-            order=order,
-        )
-
-    # -- public API --------------------------------------------------------
     def run(
         self, policy: SizingPolicy, requests: _t.Sequence[WorkflowRequest]
     ) -> RunResult:
         """Serve a whole stream and collect a :class:`RunResult`."""
-        if not requests:
-            raise ExperimentError("request stream is empty")
-        policy.bind(self.workflow)
-        if not policy.vector_safe:
-            outcomes = [self._serve_one(policy, r) for r in requests]
-            return RunResult(
-                policy_name=policy.name,
-                outcomes=outcomes,
-                extras=collect_policy_extras(policy),
-            )
-        return ColumnarRunResult(
-            policy_name=policy.name,
-            columns=self._serve_batch(policy, requests),
-            extras=collect_policy_extras(policy),
-        )
+        return self._run(policy, requests)

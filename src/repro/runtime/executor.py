@@ -1,31 +1,31 @@
-"""Trace-driven (analytic) execution backend.
+"""Trace-driven (analytic) execution: the one sizing walk.
 
 Serves a request stream against a workflow under a sizing policy. Every
 request's stage randomness was drawn when the stream was generated, so the
 backend is deterministic given (workflow, requests) and every policy sees
 identical dynamics — the apples-to-apples comparison the paper's evaluation
-relies on.
+relies on. Latency is modelled exactly and resource consumption as the
+per-stage allocations; queueing and co-location are the DES cluster
+backend's domain (:mod:`repro.cluster`).
 
-The hot path is batched: :meth:`AnalyticExecutor.run` evaluates each chain
-stage across the *whole* request stream with one vectorised policy lookup
+Both analytic executors replay one graph: a node starts when its last
+predecessor ends (sources at arrival), is sized from the time elapsed by
+then — what a provider-side adapter knows — and ends ``exec_ms`` later.
+``"analytic"`` serves :attr:`~repro.workflow.catalog.Workflow.chain` as a
+path graph, ``"dag"`` the whole DAG. The walk comes in two forms: the
+batched core (``run``, ``run_streaming``) evaluates each node across a
+batch with one vectorised policy lookup
 (:meth:`~repro.policies.base.SizingPolicy.sizes_for_node`) and one array
-latency-model evaluation, materialising stage records column-wise
-(:class:`~repro.runtime.results.OutcomeColumns`). The scalar
-:meth:`~AnalyticExecutor.run_request` survives as the reference
-implementation — the batched path is pinned bit-identical to it by the
-property suite in ``tests/test_vector_exec.py``. Policies whose decisions
-depend on call interleaving across requests set ``vector_safe = False`` to
-keep the request-major scalar order.
-
-This backend models per-request latency exactly and resource consumption as
-the per-stage allocations (the paper's CPU-millicore metric); queueing and
-co-location effects are the domain of the DES cluster backend
-(:mod:`repro.cluster`). Registered as ``"analytic"`` — the auto-selected
-backend for chain workflows.
+latency-model call into :class:`~repro.runtime.results.OutcomeColumns`;
+the scalar ``walk`` yields one request's stages one at a time —
+``run_request`` collects them (the reference the batched core is pinned
+to, bit for bit, in ``tests/test_vector_exec.py``) and the serving loop
+awaits between them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import typing as _t
 
@@ -38,7 +38,6 @@ from ..workflow.catalog import Workflow
 from ..workflow.request import RequestOutcome, StageRecord, WorkflowRequest
 from .registry import register_executor
 from .results import (
-    ColumnarRunResult,
     OutcomeColumns,
     RunResult,
     StreamingRunResult,
@@ -77,6 +76,12 @@ def _request_columns(
     )
 
 
+def _off_grid(policy: SizingPolicy, size: int, fname: str) -> ExperimentError:
+    return ExperimentError(
+        f"{policy.name}: size {size} off-grid for stage {fname}"
+    )
+
+
 def _run_hooks(
     policy: SizingPolicy,
     requests: _t.Sequence[WorkflowRequest],
@@ -90,59 +95,72 @@ def _run_hooks(
         bound(request)
 
 
-@register_executor("analytic")
-class AnalyticExecutor:
-    """Replays request streams under a policy, stage-batched across requests."""
+#: The graph an executor replays: node names in execution order and, per
+#: node, the positions of its predecessors among them.
+Graph = tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]
+
+
+class _GraphExecutor:
+    """Shared body of the analytic executors: both walks over the graph
+    each public subclass derives from its workflow (``_served_graph``)."""
 
     def __init__(self, workflow: Workflow, clamp_sizes: bool = True) -> None:
         self.workflow = workflow
         self.clamp_sizes = bool(clamp_sizes)
+        self.nodes, self.preds = self._served_graph(workflow)
+        # On a path, execution order is completion order.
+        self._is_path = all(
+            pred == ((j - 1,) if j else ())
+            for j, pred in enumerate(self.preds)
+        )
 
-    # -- scalar reference --------------------------------------------------
-    def run_request(
-        self, policy: SizingPolicy, request: WorkflowRequest
-    ) -> RequestOutcome:
-        """Serve one request; returns its outcome record.
+    # -- scalar walk -------------------------------------------------------
+    def walk(
+        self,
+        policy: SizingPolicy,
+        request: WorkflowRequest,
+        origin_ms: float,
+    ) -> _t.Iterator[tuple[StageRecord, float]]:
+        """One request's stages in execution order, as ``(record,
+        exec_ms)`` pairs produced one at a time.
 
-        This is the scalar reference implementation the batched path is
-        pinned against (and the entry point for one-off serving, e.g. the
-        batching executor and direct tests).
+        Stage times count from ``origin_ms`` (the arrival, or ``arrival +
+        rtt`` for a remote-routed request in the serving loop) while
+        sizing sees only the elapsed offset. Assumes the policy is bound;
+        its begin/end hooks bracket the walk.
         """
-        policy.bind(self.workflow)
-        return self._serve_one(policy, request)
-
-    def _serve_one(
-        self, policy: SizingPolicy, request: WorkflowRequest
-    ) -> RequestOutcome:
-        """Scalar serving loop; assumes the policy is already bound."""
-        chain = self.workflow.chain
         limits = self.workflow.limits
         policy.begin_request(request)
-        elapsed = 0.0
-        stages: list[StageRecord] = []
-        for fname in chain:
-            size = policy.size_for_node(fname, request, elapsed)
+        end_offsets: list[float] = []
+        for fname, pred in zip(self.nodes, self.preds):
+            offset = max((end_offsets[p] for p in pred), default=0.0)
+            size = policy.size_for_node(fname, request, offset)
             if self.clamp_sizes:
                 size = limits.clamp(size)
             elif not limits.contains(size):
-                raise ExperimentError(
-                    f"{policy.name}: size {size} off-grid for stage {fname}"
-                )
-            model = self.workflow.model(fname)
-            exec_ms = model.execution_time(
+                raise _off_grid(policy, size, fname)
+            exec_ms = self.workflow.model(fname).execution_time(
                 size, request.dynamics_for(fname), request.concurrency
             )
-            start = request.arrival_ms + elapsed
-            stages.append(
-                StageRecord(
-                    function=fname,
-                    size=size,
-                    start_ms=start,
-                    end_ms=start + exec_ms,
-                )
-            )
-            elapsed += exec_ms
+            start = origin_ms + offset
+            yield StageRecord(
+                function=fname, size=size, start_ms=start,
+                end_ms=start + exec_ms,
+            ), exec_ms
+            end_offsets.append(offset + exec_ms)
         policy.end_request(request)
+
+    def run_request(
+        self, policy: SizingPolicy, request: WorkflowRequest
+    ) -> RequestOutcome:
+        """Serve one request; returns its outcome (stages sorted by end).
+
+        The scalar reference the batched core is pinned against, and the
+        entry point for one-off serving and direct tests.
+        """
+        policy.bind(self.workflow)
+        walk = self.walk(policy, request, request.arrival_ms)
+        stages = sorted((record for record, _ in walk), key=lambda s: s.end_ms)
         return RequestOutcome(
             request_id=request.request_id,
             arrival_ms=request.arrival_ms,
@@ -151,28 +169,32 @@ class AnalyticExecutor:
         )
 
     # -- batched core ------------------------------------------------------
-    def _serve_batch(
+    def _replay(
         self, policy: SizingPolicy, requests: _t.Sequence[WorkflowRequest]
     ) -> OutcomeColumns:
-        """Serve a batch with per-stage vector policy/model evaluation.
+        """Serve a batch node by node, each node across every request.
 
-        Assumes the policy is bound and ``vector_safe``. Hooks fire
-        begin-all / stage-major / end-all; for order-free policies this is
-        indistinguishable from the scalar request-major order.
+        Assumes the policy is bound. Stage columns follow execution order;
+        on a non-path graph ``order`` is the per-request stable argsort of
+        completion times, matching :meth:`run_request`'s stable sort.
         """
-        chain = self.workflow.chain
         limits = self.workflow.limits
-        n = len(requests)
+        shape = (len(requests), len(self.nodes))
         _run_hooks(policy, requests, "begin_request")
         ids, arrivals, slos, concurrencies = _request_columns(requests)
-        num_stages = len(chain)
-        sizes = np.empty((n, num_stages), dtype=np.int64)
-        starts = np.empty((n, num_stages), dtype=np.float64)
-        ends = np.empty((n, num_stages), dtype=np.float64)
-        elapsed = np.zeros(n, dtype=np.float64)
-        for j, fname in enumerate(chain):
+        sizes = np.empty(shape, dtype=np.int64)
+        starts = np.empty(shape, dtype=np.float64)
+        ends = np.empty(shape, dtype=np.float64)
+        end_offsets: list[np.ndarray] = []
+        for j, (fname, pred) in enumerate(zip(self.nodes, self.preds)):
+            if pred:
+                offset = functools.reduce(
+                    np.maximum, [end_offsets[p] for p in pred]
+                )
+            else:
+                offset = np.zeros(len(requests), dtype=np.float64)
             ks = np.asarray(
-                policy.sizes_for_node(fname, requests, elapsed), dtype=np.int64
+                policy.sizes_for_node(fname, requests, offset), dtype=np.int64
             )
             if self.clamp_sizes:
                 ks = limits.clamp_array(ks)
@@ -180,49 +202,42 @@ class AnalyticExecutor:
                 on_grid = limits.contains_array(ks)
                 if not bool(on_grid.all()):
                     bad = int(ks[np.flatnonzero(~on_grid)[0]])
-                    raise ExperimentError(
-                        f"{policy.name}: size {bad} off-grid for stage {fname}"
-                    )
+                    raise _off_grid(policy, bad, fname)
             worksets, noise_zs, interferences = _dynamics_columns(
                 requests, fname
             )
             exec_ms = self.workflow.model(fname).execution_times(
                 ks, worksets, noise_zs, interferences, concurrencies
             )
-            start = arrivals + elapsed
+            start = arrivals + offset
             sizes[:, j] = ks
             starts[:, j] = start
             ends[:, j] = start + exec_ms
-            elapsed = elapsed + exec_ms
+            end_offsets.append(offset + exec_ms)
         _run_hooks(policy, requests, "end_request")
         return OutcomeColumns(
             request_ids=ids,
             arrivals=arrivals,
             slos=slos,
-            functions=tuple(chain),
+            functions=self.nodes,
             sizes=sizes,
             starts=starts,
             ends=ends,
+            order=(
+                None if self._is_path
+                else np.argsort(ends, axis=1, kind="stable")
+            ),
         )
 
-    # -- public API --------------------------------------------------------
-    def run(
+    def _run(
         self, policy: SizingPolicy, requests: _t.Sequence[WorkflowRequest]
     ) -> RunResult:
-        """Serve a whole stream and collect a :class:`RunResult`."""
         if not requests:
             raise ExperimentError("request stream is empty")
         policy.bind(self.workflow)
-        if not policy.vector_safe:
-            outcomes = [self._serve_one(policy, r) for r in requests]
-            return RunResult(
-                policy_name=policy.name,
-                outcomes=outcomes,
-                extras=collect_policy_extras(policy),
-            )
-        return ColumnarRunResult(
-            policy_name=policy.name,
-            columns=self._serve_batch(policy, requests),
+        return RunResult(
+            policy.name,
+            columns=self._replay(policy, requests),
             extras=collect_policy_extras(policy),
         )
 
@@ -250,33 +265,20 @@ class AnalyticExecutor:
         slack = StreamingMoments()
         violations = 0
         n = 0
-        if policy.vector_safe:
-            iterator = iter(requests)
-            while True:
-                chunk = list(itertools.islice(iterator, chunk_size))
-                if not chunk:
-                    break
-                columns = self._serve_batch(policy, chunk)
-                mets = columns.slo_met().tolist()
-                for e2e, alloc, slk, met in zip(
-                    columns.e2e_ms().tolist(),
-                    columns.allocated().tolist(),
-                    columns.slacks().tolist(),
-                    mets,
-                ):
-                    latency.add(e2e)
-                    cost.add(alloc)
-                    slack.add(slk)
-                    violations += not met
-                n += len(chunk)
-        else:
-            for request in requests:
-                outcome = self._serve_one(policy, request)
-                latency.add(outcome.e2e_ms)
-                cost.add(outcome.allocated_millicores)
-                slack.add(outcome.slack)
-                violations += not outcome.slo_met
-                n += 1
+        iterator = iter(requests)
+        while chunk := list(itertools.islice(iterator, chunk_size)):
+            columns = self._replay(policy, chunk)
+            for e2e, alloc, slk, met in zip(
+                columns.e2e_ms().tolist(),
+                columns.allocated().tolist(),
+                columns.slacks().tolist(),
+                columns.slo_met().tolist(),
+            ):
+                latency.add(e2e)
+                cost.add(alloc)
+                slack.add(slk)
+                violations += not met
+            n += len(chunk)
         if n == 0:
             raise ExperimentError("request stream is empty")
         return StreamingRunResult(
@@ -289,3 +291,24 @@ class AnalyticExecutor:
             mean_slack=slack.mean,
             extras=collect_policy_extras(policy),
         )
+
+
+@register_executor("analytic")
+class AnalyticExecutor(_GraphExecutor):
+    """Replays request streams along the workflow's chain.
+
+    The auto-selected backend for chain workflows. Forced onto a branching
+    workflow it serves only the critical path (:attr:`Workflow.chain`) —
+    the chain approximation.
+    """
+
+    @staticmethod
+    def _served_graph(workflow: Workflow) -> Graph:
+        chain = tuple(workflow.chain)
+        return chain, tuple((j - 1,) if j else () for j in range(len(chain)))
+
+    def run(
+        self, policy: SizingPolicy, requests: _t.Sequence[WorkflowRequest]
+    ) -> RunResult:
+        """Serve a whole stream and collect a :class:`RunResult`."""
+        return self._run(policy, requests)

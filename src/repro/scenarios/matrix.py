@@ -28,6 +28,10 @@ __all__ = [
 #: Default policy suite for sweeps: the paper's headline systems.
 DEFAULT_SWEEP_POLICIES = ("Optimal", "ORION", "GrandSLAM", "Janus")
 
+#: Executor axis entries with a streaming path (``None`` auto-selects one
+#: of the two analytic backends from the workflow's topology).
+_STREAMING_EXECUTORS = (None, "analytic", "dag")
+
 
 def _validate_suite(
     policies: _t.Sequence[str], baseline: str | None
@@ -180,7 +184,7 @@ class Scenario:
     #: retaining every outcome — the path for cells with very large
     #: ``n_requests``. Latency percentiles in the cell table become P²
     #: estimates; requires an executor with a streaming path (the
-    #: analytic chain backend).
+    #: analytic chain or DAG backend).
     streaming: bool = False
     #: Fault injection for this cell (``None`` = fault-free). Cluster-side
     #: kinds (preempt/crash/straggler/contention) need an executor whose
@@ -222,10 +226,10 @@ class Scenario:
                 f"accepts a 'config' option (e.g. 'cluster'), got "
                 f"executor={self.executor!r}"
             )
-        if self.streaming and self.executor not in (None, "analytic"):
+        if self.streaming and self.executor not in _STREAMING_EXECUTORS:
             raise ExperimentError(
-                f"streaming cells require the analytic chain backend "
-                f"(executor None or 'analytic'), got {self.executor!r}"
+                f"streaming cells require an analytic backend (executor "
+                f"None, 'analytic' or 'dag'), got {self.executor!r}"
             )
         if self.streaming and self.fleet is not None:
             # The fleet runner merges materialised per-region outcome
@@ -435,11 +439,12 @@ class ScenarioMatrix:
                 "silently ignored; add executors=(..., 'cluster')"
             )
         if self.streaming:
-            bad = [e for e in self.executors if e not in (None, "analytic")]
+            bad = [e for e in self.executors if e not in _STREAMING_EXECUTORS]
             if bad:
                 raise ExperimentError(
-                    f"streaming matrices require the analytic chain "
-                    f"backend on every executor axis entry, got {bad}"
+                    f"streaming matrices require an analytic backend "
+                    f"(None, 'analytic' or 'dag') on every executor axis "
+                    f"entry, got {bad}"
                 )
             fleeted = [f.label for f in self.fleets if f is not None]
             if fleeted:

@@ -13,22 +13,27 @@ cold run.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import heapq
+import itertools
 import os
 import time
 import typing as _t
+from dataclasses import dataclass, replace
 
 from ..api.session import Session
 from ..errors import ExperimentError
-from ..policies.base import SizingPolicy
 from ..profiling.profiler import profile_workflow
 from ..profiling.profiles import ProfileSet
 from ..rng import child_seed
-from ..runtime.driver import compare
+from ..runtime.driver import compare, run_policies
 from ..synthesis.budget import BudgetRange
-from ..traces.workload import WorkloadConfig, generate_requests, iter_requests
+from ..traces.workload import (
+    ArrivalSpec,
+    WorkloadConfig,
+    generate_requests,
+    iter_requests,
+)
 from ..workflow.catalog import Workflow
 from ..workflow.request import WorkflowRequest
 from .backends import ExecutionBackend, resolve_backend
@@ -49,6 +54,7 @@ from .report import CARRIED_EXTRAS, ScenarioResult, SweepReport
 __all__ = [
     "SweepRunner",
     "CellOutcome",
+    "cell_result",
     "evaluate_cell",
     "run_scenario",
     "scenario_requests",
@@ -84,40 +90,56 @@ def merge_tenant_streams(
     deterministic even when streams share timestamps (constant arrivals).
     Requests are re-numbered in merged order.
     """
+    return _arrival_merge(streams)[0]
+
+
+def _arrival_merge(
+    streams: _t.Sequence[_t.Sequence[WorkflowRequest]],
+) -> tuple[list[WorkflowRequest], list[int]]:
+    """:func:`merge_tenant_streams`, plus each request's stream index."""
     tagged = [
-        (req.arrival_ms, tenant, req.request_id, req)
-        for tenant, stream in enumerate(streams)
+        (req.arrival_ms, k, req.request_id, req)
+        for k, stream in enumerate(streams)
         for req in stream
     ]
     tagged.sort(key=lambda item: item[:3])
-    return [
-        dataclasses.replace(req, request_id=i)
-        for i, (_, _, _, req) in enumerate(tagged)
+    return (
+        [replace(req, request_id=i) for i, (*_, req) in enumerate(tagged)],
+        [k for _, k, _, _ in tagged],
+    )
+
+
+def _tenant_plan(
+    scenario: Scenario,
+    slo_ms: float,
+    arrival: ArrivalSpec | None = None,
+    seed_labels: tuple[str, ...] = (),
+) -> tuple[WorkloadConfig, list[int]]:
+    """The stream config a cell's tenants share, and each tenant's seed.
+
+    Tenant ``t`` draws from ``child_seed(scenario.seed, *seed_labels,
+    "tenant", t)``, so tenant counts change the mix without perturbing
+    other cells. A storm fault rewrites the arrival process; every other
+    fault (and None) serves the declared arrival verbatim.
+    """
+    config = WorkloadConfig(
+        n_requests=scenario.n_requests,
+        arrival=scenario.effective_arrival() if arrival is None else arrival,
+        slo_ms=slo_ms,
+    )
+    seeds = [
+        child_seed(scenario.seed, *seed_labels, "tenant", str(tenant))
+        for tenant in range(scenario.tenants)
     ]
+    return config, seeds
 
 
 def scenario_requests(
     workflow: Workflow, scenario: Scenario, slo_ms: float
 ) -> list[WorkflowRequest]:
-    """The scenario's request stream: per-tenant streams, arrival-merged.
-
-    Each tenant draws from its own RNG stream derived off the scenario
-    seed, so tenant counts change the mix without perturbing other cells.
-    """
-    streams = [
-        generate_requests(
-            workflow,
-            WorkloadConfig(
-                n_requests=scenario.n_requests,
-                # A storm fault rewrites the arrival process; every other
-                # fault (and None) serves the declared arrival verbatim.
-                arrival=scenario.effective_arrival(),
-                slo_ms=slo_ms,
-            ),
-            seed=child_seed(scenario.seed, "tenant", str(tenant)),
-        )
-        for tenant in range(scenario.tenants)
-    ]
+    """The scenario's request stream: per-tenant streams, arrival-merged."""
+    config, seeds = _tenant_plan(scenario, slo_ms)
+    streams = [generate_requests(workflow, config, seed=s) for s in seeds]
     return streams[0] if scenario.tenants == 1 else merge_tenant_streams(streams)
 
 
@@ -132,67 +154,48 @@ def iter_scenario_requests(
     :func:`merge_tenant_streams` sorts by, which coincides with a stable
     merge because each tenant stream is already arrival-ordered.
     """
-    def tenant_stream(tenant: int) -> _t.Iterator[WorkflowRequest]:
-        return iter_requests(
-            workflow,
-            WorkloadConfig(
-                n_requests=scenario.n_requests,
-                arrival=scenario.effective_arrival(),
-                slo_ms=slo_ms,
-            ),
-            seed=child_seed(scenario.seed, "tenant", str(tenant)),
-        )
-
+    config, seeds = _tenant_plan(scenario, slo_ms)
+    streams = [iter_requests(workflow, config, seed=s) for s in seeds]
     if scenario.tenants == 1:
-        yield from tenant_stream(0)
+        yield from streams[0]
         return
     tagged = heapq.merge(
-        *(
-            ((req.arrival_ms, tenant, req.request_id, req) for req in stream)
-            for tenant, stream in (
-                (t, tenant_stream(t)) for t in range(scenario.tenants)
-            )
-        )
+        *(zip(itertools.repeat(t), stream) for t, stream in enumerate(streams)),
+        key=lambda item: (item[1].arrival_ms, item[0], item[1].request_id),
     )
-    for i, (_, _, _, req) in enumerate(tagged):
-        yield dataclasses.replace(req, request_id=i)
+    for i, (_, req) in enumerate(tagged):
+        yield replace(req, request_id=i)
 
 
-def _run_streaming_cell(
-    session: Session,
+def cell_result(
     scenario: Scenario,
     slo_ms: float,
-    suite: _t.Mapping[str, SizingPolicy],
+    results: _t.Mapping[str, _t.Any],
+    executor: str,
+    added_extras: _t.Mapping[str, _t.Mapping[str, float]] | None = None,
 ) -> ScenarioResult:
-    """Serve a streaming cell: aggregates only, no retained outcomes.
+    """Assemble one cell's :class:`ScenarioResult` from its per-policy
+    results — the regular, streaming and fleet cells all end here.
 
-    Each policy re-generates the identical request stream from the cell
-    seed (common random numbers without a shared materialised list).
+    The baseline defaults to Optimal when served, else the first policy.
+    Per-policy extras keep only the deterministic :data:`CARRIED_EXTRAS`
+    keys, so the serial-vs-pool bit-identity of the JSON payload survives
+    (timing diagnostics like ``synthesis_seconds`` stay out);
+    ``added_extras`` (a fleet cell's accounting) joins them per policy.
     """
-    backend = session.executor(scenario.executor)
-    if not hasattr(backend, "run_streaming"):
-        raise ExperimentError(
-            f"streaming cell {scenario.scenario_id}: executor "
-            f"{type(backend).__name__} has no streaming path (chain "
-            f"workflows on the analytic backend only)"
-        )
-    results = {
-        name: backend.run_streaming(
-            policy, iter_scenario_requests(session.workflow, scenario, slo_ms)
-        )
-        for name, policy in suite.items()
-    }
     baseline = scenario.baseline
     if baseline is None:
         baseline = "Optimal" if "Optimal" in results else next(iter(results))
-    extras = {
-        name: {
+    extras: dict[str, dict[str, float]] = {}
+    for name, res in results.items():
+        vals = {
             key: float(res.extras[key])
             for key in CARRIED_EXTRAS
             if key in res.extras
         }
-        for name, res in results.items()
-    }
+        vals.update((added_extras or {}).get(name, {}))
+        if vals:
+            extras[name] = vals
     return ScenarioResult(
         scenario_id=scenario.scenario_id,
         workflow=scenario.workflow,
@@ -202,14 +205,14 @@ def _run_streaming_cell(
         slo_ms=slo_ms,
         seed=scenario.seed,
         baseline=baseline,
-        executor=f"{type(backend).__name__}[streaming]",
+        executor=executor,
         table=compare(results, baseline=baseline),
-        extras={name: vals for name, vals in extras.items() if vals},
+        extras=extras,
     )
 
 
 def run_scenario(scenario: Scenario) -> ScenarioResult | None:
-    """Evaluate one scenario cell end to end via :meth:`Session.compare`.
+    """Evaluate one scenario cell end to end through a :class:`Session`.
 
     Returns ``None`` when no requested policy can be built for this cell
     (the sweep runner then reports the whole cell as skipped).
@@ -266,8 +269,6 @@ def run_scenario(scenario: Scenario) -> ScenarioResult | None:
         return None
     if scenario.baseline is not None and scenario.baseline not in suite:
         return None
-    if scenario.streaming:
-        return _run_streaming_cell(session, scenario, slo_ms, suite)
     if scenario.fleet is not None:
         # Fleet cells route per-region streams through the fleet runner
         # (lazy import: repro.fleet is imported by matrix construction,
@@ -275,39 +276,27 @@ def run_scenario(scenario: Scenario) -> ScenarioResult | None:
         from ..fleet.runner import run_fleet_scenario
 
         return run_fleet_scenario(session, scenario, slo_ms, suite)
-    requests = scenario_requests(session.workflow, scenario, slo_ms)
-    report = session.compare(
-        requests=requests,
-        baseline=scenario.baseline,
-        suite=suite,
-    )
-    # Per-policy platform/policy extras — only the deterministic keys, so
-    # the serial-vs-pool bit-identity of the JSON payload survives
-    # (timing diagnostics like synthesis_seconds stay out).
-    extras = {
-        name: {
-            key: float(res.extras[key])
-            for key in CARRIED_EXTRAS
-            if key in res.extras
+    backend = session.executor(scenario.executor)
+    if scenario.streaming:
+        # Bounded memory: aggregates only, no retained outcomes. Each
+        # policy re-generates the identical request stream from the cell
+        # seed (common random numbers without a shared materialised list).
+        results = {
+            name: backend.run_streaming(
+                policy,
+                iter_scenario_requests(session.workflow, scenario, slo_ms),
+            )
+            for name, policy in suite.items()
         }
-        for name, res in report.results.items()
-    }
-    return ScenarioResult(
-        scenario_id=scenario.scenario_id,
-        workflow=scenario.workflow,
-        arrival=scenario.arrival.label,
-        slo_scale=scenario.slo_scale,
-        tenants=scenario.tenants,
-        slo_ms=slo_ms,
-        seed=scenario.seed,
-        baseline=report.baseline,
-        executor=report.executor,
-        table=report.table,
-        extras={name: vals for name, vals in extras.items() if vals},
-    )
+        return cell_result(
+            scenario, slo_ms, results, f"{type(backend).__name__}[streaming]"
+        )
+    requests = scenario_requests(session.workflow, scenario, slo_ms)
+    results = run_policies(session.workflow, suite, requests, executor=backend)
+    return cell_result(scenario, slo_ms, results, type(backend).__name__)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclass(frozen=True)
 class CellOutcome:
     """What one evaluated cell ships back across the process boundary.
 

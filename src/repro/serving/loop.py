@@ -1,13 +1,14 @@
 """The asyncio serving loop: ingest, size, observe, adapt.
 
 :class:`ServingLoop` is the live counterpart of :class:`~repro.runtime.
-executor.AnalyticExecutor.run`: the same per-stage sizing walk, but over
-an *unbounded* arrival stream, with bounded-memory metrics
-(:mod:`repro.metrics.streaming`) instead of retained outcome lists, and
-with the paper's §III-D regeneration loop running online — when the
-supervisor's sliding miss-rate window crosses the threshold, the loop
-re-profiles from its recent latency window, re-synthesizes hints (through
-the :func:`~repro.synthesis.generator.synthesize_hints` disk memo) and
+executor.AnalyticExecutor.run`: it consumes the executor's scalar sizing
+walk one stage at a time, but over an *unbounded* arrival stream, with
+bounded-memory metrics (:mod:`repro.metrics.streaming`) instead of
+retained outcome lists, and with the paper's §III-D regeneration loop
+running online — when the supervisor's sliding miss-rate window crosses
+the threshold, the loop re-profiles from its recent latency window,
+re-synthesizes hints (through the
+:func:`~repro.synthesis.generator.synthesize_hints` disk memo) and
 hot-swaps the adapter's tables. The adapter is stateless per request, so
 in-flight requests finish against whichever tables their next stage
 finds — none are dropped.
@@ -39,6 +40,7 @@ from ..policies.registry import JANUS_EXPLORATIONS, POLICIES
 from ..profiling.profiles import LatencyProfile, ProfileSet
 from ..profiling.profiler import profile_workflow
 from ..rng import RngFactory, child_seed
+from ..runtime.executor import AnalyticExecutor
 from ..scenarios.registry import scenario_workflow
 from ..synthesis.generator import HeadExploration, synthesize_hints
 from ..traces.workload import ArrivalSpec
@@ -202,6 +204,7 @@ class ServingLoop:
             slo_ms=self.slo_ms,
         )
         self.policy.bind(self.workflow)
+        self.executor = AnalyticExecutor(self.workflow)
 
         # Wire drift detection into the policy's adapter when it has one
         # (the Janus family); other policies serve without adaptation.
@@ -340,31 +343,16 @@ class ServingLoop:
     async def _serve(
         self, request: WorkflowRequest, rtt_ms: float = 0.0
     ) -> None:
-        chain = self.workflow.chain
-        limits = self.workflow.limits
-        self.policy.begin_request(request)
-        elapsed = 0.0
+        # A remote-routed request pays the cross-region hop as a timeline
+        # shift (same law as the batch fleet evaluator): e2e latency grows
+        # by exactly the RTT while the sizing walk — like the executors in
+        # a sweep cell — never sees it.
         stages: list[StageRecord] = []
-        for fname in chain:
-            size = self.policy.size_for_node(fname, request, elapsed)
-            size = limits.clamp(size)
-            model = self.workflow.model(fname)
-            exec_ms = model.execution_time(
-                size, request.dynamics_for(fname), request.concurrency
-            )
-            # A remote-routed request pays the cross-region hop as a
-            # timeline shift (same law as the batch fleet evaluator):
-            # e2e latency grows by exactly the RTT while the sizing walk
-            # — like the executors in a sweep cell — never sees it.
-            start = request.arrival_ms + rtt_ms + elapsed
-            stages.append(
-                StageRecord(
-                    function=fname, size=size, start_ms=start,
-                    end_ms=start + exec_ms,
-                )
-            )
-            elapsed += exec_ms
-            self._lat_windows[fname].append((exec_ms, size))
+        for record, exec_ms in self.executor.walk(
+            self.policy, request, request.arrival_ms + rtt_ms
+        ):
+            stages.append(record)
+            self._lat_windows[record.function].append((exec_ms, record.size))
             if self.config.time_scale > 0:
                 await asyncio.sleep(
                     exec_ms / 1000.0 / self.config.time_scale
@@ -373,7 +361,6 @@ class ServingLoop:
                 # Cooperative yield: other requests advance one stage per
                 # scheduler round, so the service genuinely interleaves.
                 await asyncio.sleep(0)
-        self.policy.end_request(request)
         outcome = RequestOutcome(
             request_id=request.request_id,
             arrival_ms=request.arrival_ms,

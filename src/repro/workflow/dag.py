@@ -12,15 +12,18 @@ from __future__ import annotations
 
 import typing as _t
 
-import networkx as nx
-
 from ..errors import WorkflowError
 
 __all__ = ["WorkflowDAG"]
 
 
 class WorkflowDAG:
-    """Directed acyclic graph of function names."""
+    """Immutable directed acyclic graph of function names.
+
+    Adjacency lists keep edge-insertion order (critical-path ties break on
+    it); :attr:`nodes` is generation-wise Kahn order (sources in node
+    order, then freed successors in edge order), fixed at construction.
+    """
 
     def __init__(
         self,
@@ -32,19 +35,44 @@ class WorkflowDAG:
             raise WorkflowError("workflow must contain at least one function")
         if len(set(node_list)) != len(node_list):
             raise WorkflowError(f"duplicate function names: {node_list}")
-        g = nx.DiGraph()
-        g.add_nodes_from(node_list)
+        succ: dict[str, list[str]] = {n: [] for n in node_list}
+        pred: dict[str, list[str]] = {n: [] for n in node_list}
         for u, v in edges:
-            if u not in g or v not in g:
+            if u not in succ or v not in succ:
                 raise WorkflowError(f"edge ({u!r}, {v!r}) references unknown node")
             if u == v:
                 raise WorkflowError(f"self-loop on {u!r}")
-            g.add_edge(u, v)
-        if not nx.is_directed_acyclic_graph(g):
-            cycle = nx.find_cycle(g)
-            raise WorkflowError(f"workflow contains a cycle: {cycle}")
-        self._g = g
-        self._order = list(nx.topological_sort(g))
+            if v not in succ[u]:
+                succ[u].append(v)
+                pred[v].append(u)
+        self._succ = succ
+        self._pred = pred
+        self._order = self._generations(node_list)
+        self._edges = [(u, v) for u in node_list for v in succ[u]]
+        # Acyclic with degrees <= 1 is a set of disjoint paths; n - 1
+        # edges make it one.
+        self._is_chain = len(self._edges) == len(node_list) - 1 and all(
+            len(succ[v]) <= 1 and len(pred[v]) <= 1 for v in node_list
+        )
+
+    def _generations(self, node_list: list[str]) -> list[str]:
+        """Kahn's algorithm, one generation of freed nodes at a time."""
+        indegree = {v: len(self._pred[v]) for v in node_list}
+        generation = [v for v in node_list if indegree[v] == 0]
+        order: list[str] = []
+        while generation:
+            order.extend(generation)
+            freed = []
+            for node in generation:
+                for child in self._succ[node]:
+                    indegree[child] -= 1
+                    if indegree[child] == 0:
+                        freed.append(child)
+            generation = freed
+        if len(order) != len(node_list):
+            stuck = [v for v in node_list if indegree[v] > 0]
+            raise WorkflowError(f"workflow contains a cycle through {stuck}")
+        return order
 
     # -- introspection ------------------------------------------------------
     @property
@@ -54,52 +82,43 @@ class WorkflowDAG:
 
     @property
     def num_nodes(self) -> int:
-        return self._g.number_of_nodes()
+        return len(self._order)
 
     @property
     def edges(self) -> list[tuple[str, str]]:
-        return list(self._g.edges())
+        return list(self._edges)
 
     def successors(self, node: str) -> list[str]:
         """Immediate downstream functions of ``node``."""
         self._check(node)
-        return list(self._g.successors(node))
+        return list(self._succ[node])
 
     def predecessors(self, node: str) -> list[str]:
         """Immediate upstream functions of ``node``."""
         self._check(node)
-        return list(self._g.predecessors(node))
+        return list(self._pred[node])
 
     def sources(self) -> list[str]:
         """Entry functions (no predecessors)."""
-        return [n for n in self._order if self._g.in_degree(n) == 0]
+        return [n for n in self._order if not self._pred[n]]
 
     def sinks(self) -> list[str]:
         """Exit functions (no successors)."""
-        return [n for n in self._order if self._g.out_degree(n) == 0]
+        return [n for n in self._order if not self._succ[n]]
 
     def _check(self, node: str) -> None:
-        if node not in self._g:
+        if node not in self._succ:
             raise WorkflowError(f"unknown function {node!r}")
 
     # -- shape --------------------------------------------------------------
     @property
     def is_chain(self) -> bool:
         """True when the DAG is a simple path f1 -> f2 -> ... -> fN."""
-        n = self.num_nodes
-        if n == 1:
-            return True
-        if self._g.number_of_edges() != n - 1:
-            return False
-        degrees_ok = all(
-            self._g.in_degree(v) <= 1 and self._g.out_degree(v) <= 1
-            for v in self._g
-        )
-        return degrees_ok and len(self.sources()) == 1 and len(self.sinks()) == 1
+        return self._is_chain
 
     def as_chain(self) -> list[str]:
         """The node sequence when the DAG is a chain; raises otherwise."""
-        if not self.is_chain:
+        if not self._is_chain:
             raise WorkflowError("workflow is not a chain; use critical_path()")
         return list(self._order)
 
@@ -117,7 +136,7 @@ class WorkflowDAG:
             raise WorkflowError("weights must be >= 0")
         best: dict[str, tuple[float, list[str]]] = {}
         for node in self._order:  # topological order: predecessors done first
-            preds = self.predecessors(node)
+            preds = self._pred[node]
             if preds:
                 prev_cost, prev_path = max(
                     (best[p] for p in preds), key=lambda item: item[0]
@@ -133,22 +152,22 @@ class WorkflowDAG:
         if not keep:
             raise WorkflowError("subgraph would be empty")
         keep_set = set(keep)
-        edges = [(u, v) for u, v in self._g.edges() if u in keep_set and v in keep_set]
+        edges = [(u, v) for u, v in self._edges if u in keep_set and v in keep_set]
         return WorkflowDAG(keep, edges)
 
     def __contains__(self, node: str) -> bool:
-        return node in self._g
+        return node in self._succ
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WorkflowDAG):
             return NotImplemented
         return (
-            set(self._g.nodes) == set(other._g.nodes)
-            and set(self._g.edges) == set(other._g.edges)
+            set(self._order) == set(other._order)
+            and set(self._edges) == set(other._edges)
         )
 
     def __hash__(self) -> int:
-        return hash((frozenset(self._g.nodes), frozenset(self._g.edges)))
+        return hash((frozenset(self._order), frozenset(self._edges)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WorkflowDAG(nodes={self.nodes}, edges={self.edges})"

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import typing as _t
 from dataclasses import dataclass, field
 
 from ..errors import WorkflowError
@@ -118,11 +117,3 @@ class RequestOutcome:
     def stage_map(self) -> dict[str, StageRecord]:
         """Stage records keyed by function name."""
         return {s.function: s for s in self.stages}
-
-
-def total_allocated(outcomes: _t.Iterable[RequestOutcome]) -> float:
-    """Mean allocated millicores across outcomes (paper Fig. 5 metric)."""
-    outcomes = list(outcomes)
-    if not outcomes:
-        return 0.0
-    return sum(o.allocated_millicores for o in outcomes) / len(outcomes)

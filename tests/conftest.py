@@ -3,12 +3,6 @@
 Profiling campaigns are the slowest setup step, so session-scoped fixtures
 share them across test modules. Tests needing custom profiles build their
 own with reduced sample counts.
-
-Warnings policy: ``pyproject.toml`` escalates the package's own
-DeprecationWarnings (the 1.1.0 top-level ``Dag*`` aliases) to errors for
-the whole suite, so nothing new can lean on deprecated names. Tests that
-exercise the aliases on purpose use :func:`deprecated_aliases` (or
-``pytest.warns``, which locally overrides the error filter).
 """
 
 from __future__ import annotations
@@ -128,17 +122,3 @@ def va_profiles(va_workflow):
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
-
-
-@pytest.fixture()
-def deprecated_aliases():
-    """Opt one test back into the deprecated top-level aliases.
-
-    Inside the fixture the suite-wide warnings-as-errors filter is
-    suspended, so alias access warns instead of raising.
-    """
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("always", DeprecationWarning)
-        yield

@@ -14,9 +14,29 @@ from __future__ import annotations
 import os
 import time
 
+#: Upper bound on how long :func:`double_once_two_agents` holds a cell
+#: waiting for the second agent; past it the cell completes anyway and the
+#: caller's worker-count assertion reports the shortfall.
+TWO_AGENT_TIMEOUT_S = 60.0
+
 
 def double(x: int) -> int:
     return 2 * x
+
+
+def double_once_two_agents(item: tuple[str, int]) -> int:
+    """Double ``value`` once two distinct agents have checked in.
+
+    Each call records its agent's pid in ``checkin_dir``, then holds until
+    a second pid is there, so one agent cannot drain the whole queue
+    before the other connects.
+    """
+    checkin_dir, value = item
+    open(os.path.join(checkin_dir, str(os.getpid())), "w").close()
+    deadline = time.monotonic() + TWO_AGENT_TIMEOUT_S
+    while len(os.listdir(checkin_dir)) < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return 2 * value
 
 
 def slow_double(item: tuple[float, float]) -> float:

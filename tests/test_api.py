@@ -512,7 +512,8 @@ class TestComparisonReport:
 
 
 #: Every public name the seed release exported from `repro` — the
-#: unification must keep them importable.
+#: unification must keep them importable — except the top-level ``Dag*``
+#: aliases, removed in 1.3.0 as scheduled.
 _SEED_PUBLIC_NAMES = [
     "ReproError", "Workflow", "WorkflowDAG", "chain_dag", "parse_spec",
     "intelligent_assistant", "video_analytics", "WorkflowRequest",
@@ -521,43 +522,38 @@ _SEED_PUBLIC_NAMES = [
     "profile_workflow", "save_profile_set", "load_profile_set",
     "BudgetRange", "HintSynthesizer", "SynthesisConfig", "HeadExploration",
     "WorkflowHints", "CondensedHintsTable", "synthesize_hints",
-    "DagWorkflowHints", "synthesize_dag_hints", "JanusAdapter",
-    "AdapterService", "HitMissSupervisor", "SizingPolicy", "JanusPolicy",
-    "janus", "janus_minus", "janus_plus", "OraclePolicy", "OrionPolicy",
-    "DagSizingPolicy", "DagJanusPolicy", "DagGrandSLAMPolicy",
-    "GrandSLAMPolicy", "GrandSLAMPlusPolicy", "AnalyticExecutor",
-    "DagAnalyticExecutor", "BatchingExecutor", "RunResult",
+    "JanusAdapter", "AdapterService", "HitMissSupervisor", "SizingPolicy",
+    "JanusPolicy", "janus", "janus_minus", "janus_plus", "OraclePolicy",
+    "OrionPolicy", "GrandSLAMPolicy", "GrandSLAMPlusPolicy",
+    "AnalyticExecutor", "BatchingExecutor", "RunResult",
     "build_policy_suite", "run_policies", "compare", "ServerlessPlatform",
     "MultiTenantPlatform", "TenantJob", "ClusterConfig", "InterferenceModel",
     "generate_requests", "WorkloadConfig", "ResourceLimits", "PercentileGrid",
 ]
 
+#: The removed top-level aliases and the modules that still export them.
+_REMOVED_ALIASES = {
+    "DagAnalyticExecutor": "repro.runtime.dag_executor",
+    "DagSizingPolicy": "repro.policies.dag",
+    "DagJanusPolicy": "repro.policies.dag",
+    "DagGrandSLAMPolicy": "repro.policies.dag",
+    "DagWorkflowHints": "repro.synthesis.dag",
+    "synthesize_dag_hints": "repro.synthesis.dag",
+}
+
 
 class TestBackwardCompatibility:
     def test_all_seed_imports_resolve(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for name in _SEED_PUBLIC_NAMES:
-                assert getattr(repro, name) is not None, name
+        for name in _SEED_PUBLIC_NAMES:
+            assert getattr(repro, name) is not None, name
 
-    @pytest.mark.parametrize(
-        "name,canonical",
-        [
-            ("DagAnalyticExecutor", "repro.runtime.dag_executor"),
-            ("DagSizingPolicy", "repro.policies.dag"),
-            ("DagJanusPolicy", "repro.policies.dag"),
-            ("DagGrandSLAMPolicy", "repro.policies.dag"),
-            ("DagWorkflowHints", "repro.synthesis.dag"),
-            ("synthesize_dag_hints", "repro.synthesis.dag"),
-        ],
-    )
-    def test_deprecated_aliases_warn_and_resolve(self, name, canonical):
+    @pytest.mark.parametrize("name", sorted(_REMOVED_ALIASES))
+    def test_removed_aliases_resolve_only_from_their_modules(self, name):
         import importlib
 
-        module = importlib.import_module(canonical)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            alias = getattr(repro, name)
-        assert alias is getattr(module, name)
+        assert not hasattr(repro, name)
+        module = importlib.import_module(_REMOVED_ALIASES[name])
+        assert getattr(module, name) is not None
 
     def test_canonical_submodule_imports_stay_silent(self):
         with warnings.catch_warnings():
@@ -566,28 +562,12 @@ class TestBackwardCompatibility:
             from repro.synthesis.dag import synthesize_dag_hints  # noqa: F401
 
     def test_star_import_stays_warning_free(self):
-        # Deprecated aliases live outside __all__, so `from repro import *`
-        # must not trip warnings-as-errors configurations.
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             namespace: dict = {}
             exec("from repro import *", namespace)
         assert "Session" in namespace
         assert "DagAnalyticExecutor" not in namespace
-
-    def test_alias_access_raises_under_suite_warning_policy(self):
-        # pyproject escalates the package's own DeprecationWarnings to
-        # errors suite-wide: plain alias access must raise, not warn.
-        with pytest.raises(DeprecationWarning, match="deprecated"):
-            repro.DagJanusPolicy
-
-    def test_deprecated_aliases_fixture_restores_warning(self, deprecated_aliases):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", DeprecationWarning)
-            assert repro.DagJanusPolicy is not None
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
 
     def test_registry_exploration_override_rejected(
         self, small_workflow, small_profiles

@@ -532,9 +532,13 @@ def worker_env(monkeypatch):
 
 
 class TestSubprocessWorkers:
-    def test_two_local_workers_end_to_end(self, worker_env):
+    def test_two_local_workers_end_to_end(self, worker_env, tmp_path):
+        # Each cell holds until both agents have checked in: trivial cells
+        # would otherwise let the first agent finish all six before the
+        # second connects.
+        items = [(str(tmp_path), x) for x in range(6)]
         backend = DistributedBackend(hosts="local:2", connect_timeout=60.0)
-        out = backend.run(list(range(6)), helpers.double)
+        out = backend.run(items, helpers.double_once_two_agents)
         assert out == [0, 2, 4, 6, 8, 10]
         stats = backend.stats()
         assert stats["hosts"]["local"]["workers"] == 2

@@ -34,6 +34,7 @@ from repro.rng import child_seed
 from repro.scenarios import (
     ScenarioMatrix,
     SweepRunner,
+    parse_cluster_config,
     parse_fault,
     scenario_digest,
     scenario_requests,
@@ -380,6 +381,85 @@ class TestFleetSweep:
         assert all(
             "/fleet 3r:spillover" in s.scenario_id for s in scenarios
         )
+
+
+class TestFleetOnCluster:
+    """DES-platform regions: the fleet merge's outcome-list input."""
+
+    def test_backend_identical_with_per_region_cold_starts(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("PYTHONPATH", SRC_DIR)
+        matrix = _fleet_matrix(
+            executors=("cluster",),
+            cluster=parse_cluster_config(
+                "n_vms=2,warm_pool_size=2,autoscale=false"
+            ),
+            slo_scales=(1.0, 2.0),
+            faults=(None,),
+            n_requests=8,
+        )
+        serial = SweepRunner(max_workers=1, backend="serial").run(matrix)
+        stealing = SweepRunner(max_workers=2, backend="workstealing").run(
+            matrix
+        )
+        assert stealing.to_json() == serial.to_json()
+        for cell in json.loads(serial.to_json())["results"]:
+            assert cell["executor"] == "Fleet[3xServerlessPlatform]"
+            extras = cell["extras"]["Janus"]
+            for name in ("us-east", "eu-west", "ap-south"):
+                assert 0.0 <= extras[f"fleet_cold_start_rate_{name}"] <= 1.0
+
+
+class TestFleetMerge:
+    def test_columns_merge_like_shifted_outcomes(self):
+        # Reference: the per-record merge the columns replaced — every
+        # stage of a remote-served outcome shifts by its RTT, and rows
+        # take their global ids. Region 1 hands over an outcome list (as
+        # the DES platform does) whose first row lists the DAG's stages
+        # in completion order, so its columns must be realigned.
+        from repro.fleet.runner import _merge_columns
+        from repro.policies.dag import DagFixedPolicy
+        from repro.runtime.dag_executor import DagAnalyticExecutor
+        from repro.runtime.results import OutcomeColumns
+        from repro.traces.workload import WorkloadConfig, generate_requests
+        from repro.workflow.request import RequestOutcome, StageRecord
+
+        wf = scenario_workflow("media")
+        requests = generate_requests(wf, WorkloadConfig(n_requests=12), seed=4)
+        policy = DagFixedPolicy("fixed", {n: 2000 for n in wf.dag.nodes})
+        by_region = [[0, 3, 4, 9], [1, 2, 5, 6, 7, 8, 10, 11]]
+        rtt = [0.0, 35.5, 35.5, 0.0, 0.0, 35.5, 35.5, 35.5, 0.0, 0.0, 35.5, 35.5]
+        parts, expected = [], [None] * len(requests)
+        for region, indices in enumerate(by_region):
+            sub = [
+                dataclasses.replace(requests[i], request_id=j)
+                for j, i in enumerate(indices)
+            ]
+            result = DagAnalyticExecutor(wf).run(policy, sub)
+            columns = (
+                result.columns if region == 0
+                else OutcomeColumns.from_outcomes(result.outcomes)
+            )
+            parts.append((indices, columns))
+            for j, i in enumerate(indices):
+                outcome = result.outcomes[j]
+                expected[i] = RequestOutcome(
+                    request_id=i,
+                    arrival_ms=outcome.arrival_ms,
+                    slo_ms=outcome.slo_ms,
+                    stages=[
+                        StageRecord(
+                            s.function, s.size,
+                            s.start_ms + rtt[i], s.end_ms + rtt[i],
+                        )
+                        for s in outcome.stages
+                    ],
+                )
+        assert parts[1][1].functions != parts[0][1].functions
+        merged = _merge_columns(parts, np.asarray(rtt))
+        assert merged.to_outcomes() == expected
+        assert merged.e2e_ms().tolist() == [o.e2e_ms for o in expected]
 
 
 class TestDigestSeparation:

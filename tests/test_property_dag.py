@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import PolicyError
+from repro.errors import PolicyError, WorkflowError
 from repro.policies.dag import DagFixedPolicy
 from repro.runtime.dag_executor import DagAnalyticExecutor
 from repro.synthesis.dag import downstream_chain
@@ -40,6 +40,23 @@ def layered_dags(draw):
     return WorkflowDAG(nodes, sorted(set(edges)))
 
 
+@st.composite
+def arbitrary_dags(draw):
+    """Node list in arbitrary order plus forward edges (w.r.t. a hidden
+    rank) in arbitrary order, duplicates included."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    rank = draw(st.permutations([f"n{i}" for i in range(n)]))
+    nodes = draw(st.permutations(rank))
+    pairs = st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=n - 2),
+            st.integers(min_value=1, max_value=n - 1),
+        ).filter(lambda ab: ab[0] < ab[1]),
+        max_size=3 * n,
+    )
+    return nodes, [(rank[a], rank[b]) for a, b in draw(pairs)]
+
+
 def brute_force_heaviest_path(dag, start, weights):
     """Enumerate all paths from `start`; return the max total weight."""
     best = 0.0
@@ -55,6 +72,36 @@ def brute_force_heaviest_path(dag, start, weights):
 
     walk(start, 0.0)
     return best
+
+
+class TestTopologicalOrderProperties:
+    @given(arbitrary_dags())
+    @settings(max_examples=200, deadline=None)
+    def test_nodes_are_a_topological_order(self, drawn):
+        nodes, edges = drawn
+        dag = WorkflowDAG(nodes, edges)
+        order = dag.nodes
+        assert sorted(order) == sorted(nodes)
+        position = {name: i for i, name in enumerate(order)}
+        assert all(position[u] < position[v] for u, v in edges)
+        # Generation 0: the sources, in the order the nodes were given.
+        sources = [v for v in nodes if not any(e[1] == v for e in edges)]
+        assert order[: len(sources)] == sources
+        # Predecessors keep first-insertion edge order (critical_path
+        # breaks ties on it).
+        for v in nodes:
+            firsts = list(dict.fromkeys(u for u, w in edges if w == v))
+            assert dag.predecessors(v) == firsts
+
+    @given(arbitrary_dags())
+    @settings(max_examples=50, deadline=None)
+    def test_back_edge_is_a_cycle(self, drawn):
+        nodes, edges = drawn
+        if not edges:
+            return
+        u, v = edges[0]
+        with pytest.raises(WorkflowError, match="cycle"):
+            WorkflowDAG(nodes, edges + [(v, u)])
 
 
 class TestDownstreamChainProperties:

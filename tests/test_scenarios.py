@@ -1446,9 +1446,28 @@ class TestStreamingCells:
         assert scenario_digest(streaming_cell) != scenario_digest(exact_cell)
 
     def test_table_matches_exact_cell_closely(self):
+        self._assert_table_matches_exact_cell(self.MATRIX.expand()[0])
+
+    def test_dag_cell_streams_and_matches_exact_cell_closely(self):
+        media = ScenarioMatrix(
+            workflows=("media",),
+            arrivals=(ArrivalSpec("poisson", rate_per_s=20.0),),
+            slo_scales=(1.0,),
+            tenant_counts=(1,),
+            policies=("GrandSLAM", "Janus"),
+            n_requests=120,
+            samples=300,
+            seed=13,
+            streaming=True,
+        )
+        cell = media.expand()[0]
+        result = self._assert_table_matches_exact_cell(cell)
+        assert result.executor == "DagAnalyticExecutor[streaming]"
+
+    @staticmethod
+    def _assert_table_matches_exact_cell(streaming_cell):
         import dataclasses
 
-        streaming_cell = self.MATRIX.expand()[0]
         exact_cell = dataclasses.replace(streaming_cell, streaming=False)
         s_result = run_scenario(streaming_cell)
         e_result = run_scenario(exact_cell)
@@ -1472,6 +1491,7 @@ class TestStreamingCells:
         assert s_result.extras["Janus"]["hit_rate"] == pytest.approx(
             e_result.extras["Janus"]["hit_rate"]
         )
+        return s_result
 
     def test_lazy_merge_equals_eager_merge(self):
         from repro.scenarios.registry import scenario_workflow
@@ -1492,6 +1512,39 @@ class TestStreamingCells:
             assert a.request_id == b.request_id
             assert a.arrival_ms == b.arrival_ms
             assert a.stage_dynamics == b.stage_dynamics
+
+    def test_tied_arrivals_merge_lazily_like_the_eager_sort(self):
+        # Constant arrivals tie across tenants: the lazy heap merge must
+        # break ties by tenant index exactly as merge_tenant_streams does.
+        from repro.scenarios.registry import scenario_workflow
+        from repro.scenarios.runner import (
+            iter_scenario_requests,
+            scenario_requests,
+        )
+
+        cell = ScenarioMatrix(
+            workflows=("IA",),
+            arrivals=(ArrivalSpec("constant"),),
+            slo_scales=(1.0,),
+            tenant_counts=(2,),
+            policies=("Optimal", "Janus"),
+            n_requests=40,
+            samples=300,
+            seed=13,
+            streaming=True,
+        ).expand()[0]
+        workflow = scenario_workflow(cell.workflow)
+
+        def rows(requests):
+            return [
+                (r.request_id, r.arrival_ms, r.stage_dynamics)
+                for r in requests
+            ]
+
+        lazy = iter_scenario_requests(workflow, cell, workflow.slo_ms)
+        eager = scenario_requests(workflow, cell, workflow.slo_ms)
+        assert rows(lazy) == rows(eager)
+        self._assert_table_matches_exact_cell(cell)
 
     def test_streaming_requires_analytic_executor(self):
         with pytest.raises(ExperimentError, match="streaming"):

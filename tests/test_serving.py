@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import ExperimentError, TraceError
 from repro.rng import RngFactory
+from repro.runtime.executor import AnalyticExecutor
 from repro.serving import (
     EventLog,
     ServingConfig,
@@ -201,6 +202,41 @@ class TestServingLoop:
         assert snap["violation_rate"] == pytest.approx(
             1.0 - snap["slo_attainment"]
         )
+
+
+class TestServingParity:
+    @pytest.mark.parametrize("policy", ["GrandSLAM", "Optimal"])
+    def test_stages_match_run_request(self, policy):
+        # The loop consumes the executor's scalar walk: with a
+        # non-adaptive policy every served request gets exactly the sizes
+        # and stage times AnalyticExecutor.run_request gives it.
+        loop = ServingLoop(small_config(policy=policy, max_requests=80))
+        served, outcomes = [], {}
+        make_request, on_complete = loop._make_request, loop._on_complete
+
+        def record_request(index, arrival_ms):
+            served.append(make_request(index, arrival_ms))
+            return served[-1]
+
+        def record_outcome(outcome):
+            outcomes[outcome.request_id] = outcome
+            on_complete(outcome)
+
+        loop._make_request = record_request
+        loop._on_complete = record_outcome
+        asyncio.run(loop.run())
+        assert len(served) == len(outcomes) == 80
+        executor = AnalyticExecutor(loop.workflow)
+
+        def stages(outcome):
+            return [
+                (s.function, s.size, s.start_ms, s.end_ms)
+                for s in outcome.stages
+            ]
+
+        for request in served:
+            reference = executor.run_request(loop.policy, request)
+            assert stages(outcomes[request.request_id]) == stages(reference)
 
 
 DRIFT_CONFIG = dict(

@@ -1,14 +1,14 @@
 """The batched analytic path is bit-identical to the scalar reference.
 
-The vectorised executors (``AnalyticExecutor._serve_batch``,
-``DagAnalyticExecutor._serve_batch``) and every array kernel feeding them
-(model evaluation, grid clamping, hint lookups, supervisor accounting) are
-pure-speedup refactors: each element must equal the retained scalar path to
-the last bit, not approximately. This suite pins that contract with
-hypothesis property tests over random workflows/policies/streams, plus
-direct tests for the new array paths (streaming chunk boundaries, the
-non-vector-policy fallback loop, clamp/off-grid error handling under
-batching).
+The batched core both analytic executors share (``run`` and
+``run_streaming`` on ``AnalyticExecutor`` and ``DagAnalyticExecutor``) and
+every array kernel feeding it (model evaluation, grid clamping, hint
+lookups, supervisor accounting) are pure-speedup refactors: each element
+must equal the scalar walk (``run_request``) to the last bit, not
+approximately. This suite pins that contract with hypothesis property
+tests over random workflows/policies/streams, plus direct tests for the
+array paths (streaming chunk boundaries, the base-class scalar fallback
+loop, clamp/off-grid error handling under batching, outcome-list columns).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.adapter.adapter import JanusAdapter
 from repro.adapter.supervisor import HitMissSupervisor
 from repro.errors import ExperimentError, FunctionModelError, ProfileError
+from repro.metrics.streaming import StreamingMoments, StreamingSummary
 from repro.policies.base import SizingPolicy
 from repro.policies.dag import DagFixedPolicy, DagJanusPolicy
 from repro.policies.early_binding import FixedPlanPolicy, WorstCasePolicy
@@ -31,13 +32,14 @@ from repro.profiling.profiles import ProfileSet
 from repro.rng import RngFactory
 from repro.runtime.dag_executor import DagAnalyticExecutor
 from repro.runtime.executor import AnalyticExecutor
-from repro.runtime.results import ColumnarRunResult, RunResult
+from repro.runtime.results import OutcomeColumns, RunResult, StreamingRunResult
 from repro.synthesis.dag import synthesize_dag_hints
 from repro.synthesis.hints import CondensedHintsTable
 from repro.traces.workload import WorkloadConfig, generate_requests
 from repro.types import ResourceLimits
 from repro.workflow.catalog import Workflow
 from repro.workflow.dag import WorkflowDAG
+from repro.workflow.request import RequestOutcome, StageRecord
 from tests.conftest import (
     make_chain_workflow,
     make_function,
@@ -78,6 +80,31 @@ def assert_run_identical(executor, make_policy, requests):
     assert result.violation_rate == ref.violation_rate
     assert result.mean_millicore_ms == ref.mean_millicore_ms
     return result
+
+
+def assert_streaming_matches_fold(executor, policy, requests):
+    """Chunked ``run_streaming`` equals folding ``run_request`` outcomes
+    into the same estimators in arrival order."""
+    streamed = executor.run_streaming(policy, iter(requests), chunk_size=5)
+    latency = StreamingSummary((50.0, 99.0))
+    cost = StreamingMoments()
+    slack = StreamingMoments()
+    violations = 0
+    for request in requests:
+        outcome = executor.run_request(policy, request)
+        latency.add(outcome.e2e_ms)
+        cost.add(outcome.allocated_millicores)
+        slack.add(outcome.slack)
+        violations += not outcome.slo_met
+    assert streamed == StreamingRunResult(
+        policy_name=policy.name,
+        n_requests=len(requests),
+        mean_allocated=cost.mean,
+        p50_e2e_ms=latency.percentile(50.0),
+        p99_e2e_ms=latency.percentile(99.0),
+        violation_rate=violations / len(requests),
+        mean_slack=slack.mean,
+    )
 
 
 class ElapsedRampPolicy(SizingPolicy):
@@ -133,7 +160,7 @@ class TestChainBitIdentity:
         result = assert_run_identical(
             AnalyticExecutor(wf), make_policy, requests
         )
-        assert isinstance(result, ColumnarRunResult)
+        assert result.columns.order is None  # a chain completes in order
 
     def test_janus_policy(self, small_workflow, small_profiles, small_budget):
         requests = generate_requests(
@@ -176,27 +203,7 @@ class TestChainBitIdentity:
 
 
 class TestVectorSafeFallback:
-    def test_vector_unsafe_policy_takes_scalar_path(self):
-        wf = make_chain_workflow(n=2)
-        requests = generate_requests(wf, WorkloadConfig(n_requests=10), seed=4)
-
-        calls = []
-
-        class OrderSensitive(ElapsedRampPolicy):
-            vector_safe = False
-
-            def size_for_node(self, node, request, elapsed_ms):
-                calls.append((request.request_id, node))
-                return super().size_for_node(node, request, elapsed_ms)
-
-        policy = OrderSensitive(wf.limits, wf.slo_ms)
-        result = AnalyticExecutor(wf).run(policy, requests)
-        assert type(result) is RunResult  # scalar path, not columnar
-        # Request-major order preserved: both stages of request i precede
-        # any stage of request i+1.
-        assert calls == [
-            (r.request_id, f) for r in requests for f in wf.chain
-        ]
+    """Policies with only the scalar method still run batched."""
 
     def test_base_fallback_loops_scalar_method(self):
         wf = make_chain_workflow(n=2)
@@ -225,20 +232,19 @@ class TestStreamingChunks:
     def test_matches_scalar_fold(self):
         wf = make_chain_workflow(n=3)
         requests = generate_requests(wf, WorkloadConfig(n_requests=23), seed=7)
-        executor = AnalyticExecutor(wf)
-
-        class ScalarRamp(ElapsedRampPolicy):
-            vector_safe = False
-
-        vector = executor.run_streaming(
+        assert_streaming_matches_fold(
+            AnalyticExecutor(wf),
             ElapsedRampPolicy(wf.limits, wf.slo_ms),
-            iter(requests),
-            chunk_size=5,
+            requests,
         )
-        scalar = executor.run_streaming(
-            ScalarRamp(wf.limits, wf.slo_ms), iter(requests)
+
+    def test_dag_matches_scalar_fold(self, diamond_workflow):
+        wf = diamond_workflow
+        requests = generate_requests(wf, WorkloadConfig(n_requests=23), seed=7)
+        plan = {n: wf.limits.kmin for n in wf.dag.nodes}
+        assert_streaming_matches_fold(
+            DagAnalyticExecutor(wf), DagFixedPolicy("fixed-dag", plan), requests
         )
-        assert vector == scalar
 
     def test_bad_chunk_size_rejected(self):
         wf = make_chain_workflow(n=2)
@@ -289,7 +295,7 @@ class TestDagBitIdentity:
             lambda: DagFixedPolicy("fixed-dag", plan),
             requests,
         )
-        assert isinstance(result, ColumnarRunResult)
+        assert result.columns.order is not None  # completion order
 
     def test_dag_janus(self, diamond_workflow):
         wf = diamond_workflow
@@ -314,19 +320,10 @@ class TestDagBitIdentity:
         wf = diamond_workflow
         requests = generate_requests(wf, WorkloadConfig(n_requests=3), seed=10)
         executor = DagAnalyticExecutor(wf, clamp_sizes=False)
-        with pytest.raises(ExperimentError, match=r"size 1234 off-grid for A"):
+        with pytest.raises(
+            ExperimentError, match=r"size 1234 off-grid for stage A"
+        ):
             executor.run(OffGridPolicy(), requests)
-
-    def test_vector_unsafe_policy_takes_scalar_path(self, diamond_workflow):
-        wf = diamond_workflow
-        requests = generate_requests(wf, WorkloadConfig(n_requests=5), seed=11)
-
-        class UnsafeFixed(DagFixedPolicy):
-            vector_safe = False
-
-        plan = {n: wf.limits.kmax for n in wf.dag.nodes}
-        result = DagAnalyticExecutor(wf).run(UnsafeFixed("unsafe", plan), requests)
-        assert type(result) is RunResult
 
 
 class TestColumnarResult:
@@ -334,7 +331,6 @@ class TestColumnarResult:
         wf = make_chain_workflow(n=3)
         requests = generate_requests(wf, WorkloadConfig(n_requests=9), seed=12)
         result = AnalyticExecutor(wf).run(WorstCasePolicy(wf), requests)
-        assert isinstance(result, ColumnarRunResult)
         assert result._outcomes is None  # summary math never materialises
         result.summary()
         assert result._outcomes is None
@@ -344,6 +340,55 @@ class TestColumnarResult:
         # Materialised rows carry exact Python scalars.
         assert isinstance(outcomes[0].stages[0].size, int)
         assert isinstance(outcomes[0].stages[0].start_ms, float)
+
+    @staticmethod
+    def _outcome(request_id, stages):
+        return RequestOutcome(
+            request_id=request_id, arrival_ms=10.0 * request_id, slo_ms=400.0,
+            stages=[StageRecord(*stage) for stage in stages],
+        )
+
+    def test_outcome_list_columns_read_each_row_in_its_order(self):
+        # Completion order differs per row (a DAG on the DES platform):
+        # columns follow the first row, ``order`` restores each row's own.
+        outcomes = [
+            self._outcome(0, [("A", 1000, 0.0, 50.0), ("B", 2000, 50.0, 90.0),
+                              ("C", 1500, 50.0, 300.0)]),
+            self._outcome(1, [("A", 1000, 10.0, 40.0), ("C", 1500, 40.0, 80.0),
+                              ("B", 2000, 40.0, 500.0)]),
+        ]
+        result = RunResult(policy_name="p", outcomes=outcomes)
+        assert result.outcomes is outcomes
+        assert result.columns.functions == ("A", "B", "C")
+        assert result.columns.order.tolist() == [[0, 1, 2], [0, 2, 1]]
+        assert result.e2e_ms().tolist() == [o.e2e_ms for o in outcomes]
+        assert result.slacks().tolist() == [o.slack for o in outcomes]
+        assert result.mean_millicore_ms == float(
+            np.mean([o.millicore_ms for o in outcomes])
+        )
+        assert result.columns.to_outcomes() == outcomes
+
+    def test_outcome_list_with_foreign_stages_rejected(self):
+        outcomes = [
+            self._outcome(0, [("A", 1000, 0.0, 50.0)]),
+            self._outcome(1, [("B", 1000, 0.0, 50.0)]),
+        ]
+        with pytest.raises(ExperimentError, match="do not all run the stages"):
+            RunResult(policy_name="p", outcomes=outcomes)
+
+    def test_reordered_keeps_every_row(self, diamond_workflow):
+        requests = generate_requests(
+            diamond_workflow, WorkloadConfig(n_requests=12), seed=14
+        )
+        plan = {n: 2000 for n in diamond_workflow.dag.nodes}
+        columns = DagAnalyticExecutor(diamond_workflow).run(
+            DagFixedPolicy("fixed-dag", plan), requests
+        ).columns
+        moved = columns.reordered(("D", "C", "B", "A"))
+        assert moved.to_outcomes() == columns.to_outcomes()
+        assert moved.millicore_ms().tolist() == columns.millicore_ms().tolist()
+        single = OutcomeColumns.from_outcomes(columns.to_outcomes()[:1])
+        assert single.reordered(single.functions) is single
 
 
 class TestArrayKernels:

@@ -75,6 +75,36 @@ class TestDAG:
         dag = WorkflowDAG(["C", "A", "B"], [("A", "B"), ("B", "C")])
         assert dag.nodes == ["A", "B", "C"]
 
+    @pytest.mark.parametrize("name,order", [
+        ("IA", ["OD", "QA", "TS"]),
+        ("VA", ["FE", "ICL", "ICO"]),
+        ("media", ["Ingest", "Vision", "Audio", "Publish"]),
+    ])
+    def test_catalog_orders_are_pinned(self, name, order):
+        from repro.scenarios.registry import scenario_workflow
+
+        assert scenario_workflow(name).dag.nodes == order
+
+    def test_fan_out_orders_by_generation_not_depth(self):
+        # Depth-first would give A, B, D, C, E; generation-wise Kahn frees
+        # both branch heads before either tail.
+        dag = WorkflowDAG(
+            ["A", "B", "C", "D", "E"],
+            [("A", "B"), ("A", "C"), ("B", "D"), ("C", "E")],
+        )
+        assert dag.nodes == ["A", "B", "C", "D", "E"]
+        # Sources in node order, successors in edge order; edges list by
+        # source in node order; predecessors in edge-insertion order.
+        dag = WorkflowDAG(
+            ["E", "D", "C", "B", "A"],
+            [("A", "C"), ("A", "B"), ("C", "E"), ("B", "D"), ("D", "E")],
+        )
+        assert dag.nodes == ["A", "C", "B", "D", "E"]
+        assert dag.edges == [
+            ("D", "E"), ("C", "E"), ("B", "D"), ("A", "C"), ("A", "B"),
+        ]
+        assert dag.predecessors("E") == ["C", "D"]
+
     def test_successors_predecessors(self):
         dag = chain_dag(["A", "B", "C"])
         assert dag.successors("A") == ["B"]
