@@ -5,8 +5,8 @@ Usage::
     python benchmarks/check_regression.py BASELINE.json CURRENT.json
 
 Compares the higher-is-better throughput keys of the guarded sections
-(the DES kernel and the batched analytic executor — the two hot paths the
-speedup refactor pinned) and exits non-zero when any current number falls
+(the DES kernel, the batched analytic executor, the congested cluster
+cell and more, see ``GUARDED``) and exits non-zero when any current number falls
 more than ``JANUS_BENCH_TOLERANCE`` (default 25%) below the committed
 baseline. Wall-time sections (sweeps, caches) are deliberately not
 guarded: they track runner hardware more than code, and the bit-identity
@@ -37,6 +37,9 @@ GUARDED: dict[str, tuple[str, ...]] = {
     # behaviour change, not noise; the router rate guards the per-arrival
     # hot path shared by the batch evaluator and the serving loop.
     "fleet": ("routed_requests_per_s", "remote_fraction"),
+    # The fixed-size congested DES cluster cell (pending pods waiting for
+    # capacity): an end-to-end cell rate, not a component one.
+    "cluster": ("congested_requests_per_s",),
 }
 
 

@@ -24,22 +24,14 @@ class ClusterAccounting:
         self.sim = sim
         self.vms = list(vms)
         self.series = TimeSeries()
-        self.busy_series = TimeSeries()
 
     def total_allocated(self) -> int:
         """Millicores reserved by live pods right now."""
         return sum(vm.allocated for vm in self.vms)
 
-    def total_busy(self) -> int:
-        """Millicores reserved by pods actively executing right now."""
-        return sum(
-            p.size for vm in self.vms for p in vm.pods() if p.busy
-        )
-
     def snapshot(self) -> None:
         """Record the current allocation at the current simulation time."""
         self.series.record(self.sim.now, float(self.total_allocated()))
-        self.busy_series.record(self.sim.now, float(self.total_busy()))
 
     def mean_allocated(self) -> float:
         """Time-weighted mean allocated millicores."""

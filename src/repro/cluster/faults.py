@@ -477,6 +477,7 @@ class FaultInjector:
             self._failure_events[vm.vm_id] = Event(self.sim)
         elif ev.action == "up":
             vm.up = True
+            self.pool.wake_pending()
         elif ev.action == "slow":
             vm.slowdown = ev.slowdown
         else:  # unslow

@@ -64,6 +64,8 @@ class MultiTenantPlatform(_ServingPlatform):
             raise ClusterError("at least one tenant workflow required")
         self.workflows = dict(workflows)
         self.config = config or ClusterConfig()
+        for workflow in self.workflows.values():
+            self.config.check_workflow(workflow)
         self.interference = interference or InterferenceModel()
         self._init_faults(faults, fault_seed)
         self._namespaced: dict[str, FunctionModel] = {}

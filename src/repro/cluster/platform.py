@@ -97,6 +97,19 @@ class ClusterConfig:
         if self.min_warm < 0:
             raise ClusterError(f"min_warm must be >= 0, got {self.min_warm}")
 
+    def check_workflow(self, workflow: Workflow) -> None:
+        """Raise unless a VM can hold ``workflow``'s largest pod.
+
+        Pods are sized up to ``limits.kmax``; on a smaller VM such a pod
+        would stay pending forever and the run would never end.
+        """
+        if workflow.limits.kmax > self.vm_capacity_millicores:
+            raise ClusterError(
+                f"vm_capacity_millicores={self.vm_capacity_millicores} is "
+                f"below workflow {workflow.name!r}'s largest pod "
+                f"(kmax={workflow.limits.kmax} mc)"
+            )
+
     def with_overrides(self, **overrides: _t.Any) -> "ClusterConfig":
         """Copy with field overrides; unknown field names raise.
 
@@ -469,6 +482,7 @@ class ServerlessPlatform(_ServingPlatform):
     ) -> None:
         self.workflow = workflow
         self.config = config or ClusterConfig()
+        self.config.check_workflow(workflow)
         self.interference = interference or InterferenceModel()
         self._init_faults(faults, fault_seed)
         self._outcomes: list[RequestOutcome] = []

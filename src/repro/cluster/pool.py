@@ -13,6 +13,14 @@ runtime adaptation and function caching): parked pods expire after
 idle millicore-time their reservations waste. The pool accounts that idle
 cost explicitly (``idle_millicore_ms``) so caching strategies can be
 compared quantitatively.
+
+Pending pods: when no VM has room, a cold acquisition waits as a pending
+pod and re-checks on its own grid of ``retry_interval_ms`` ticks counted
+from when it started waiting. A tick that cannot succeed is not simulated:
+the pod sleeps in a wait-queue, and only a change that could let it place
+(a release, an eviction, a shrinking resize, a VM recovering) arms a wake
+on the next tick of its grid. ``throttled`` still counts every grid tick
+waited.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from dataclasses import dataclass
 from ..errors import ClusterError
 from ..functions.model import FunctionModel
 from ..sim.engine import Simulator
+from ..sim.events import Event, Timeout
 from ..types import Millicores
 from .pod import Pod, PodState
 from .vm import VirtualMachine
@@ -36,6 +45,21 @@ class _Parked:
 
     pod: Pod
     parked_at: float
+
+
+@dataclass(slots=True)
+class _Pending:
+    """A pod waiting for capacity, and the grid it re-checks on.
+
+    ``tick`` is the next grid tick not yet checked and ``ticks`` the grid
+    ticks from the last check up to it. ``event`` is what the waiting
+    process yields; it is triggered once a wake is armed.
+    """
+
+    size: Millicores
+    tick: float
+    event: Event
+    ticks: int = 1
 
 
 class PoolManager:
@@ -70,8 +94,10 @@ class PoolManager:
         self.throttled = 0
         #: Idle millicore-milliseconds spent by parked reservations.
         self.idle_millicore_ms = 0.0
-        #: Poll interval while waiting as a pending pod on a full cluster.
+        #: Grid a pending pod re-checks on while the cluster is full.
         self.retry_interval_ms = 10.0
+        #: Pending pods, in the order their grid ticks check at one instant.
+        self._pending: list[_Pending] = []
         #: Installed by a :class:`~repro.cluster.faults.FaultInjector` so
         #: boot-interruption evictions land in the run's fault counters.
         self.fault_stats = None
@@ -104,17 +130,24 @@ class PoolManager:
         )
         return entry.pod
 
+    def _kill_parked(self, function: str, idx: int) -> None:
+        """Unpark a pod and free its reservation."""
+        pod = self._unpark(function, idx)
+        pod.vm.evict(pod)
+        pod.kill()
+
     def _purge_expired(self, function: str) -> None:
         """Kill parked pods idle beyond the keep-alive TTL."""
         if self.keepalive_ms is None:
             return
         parked = self._warm[function]
+        expired = self.expired
         for idx in range(len(parked) - 1, -1, -1):
             if self.sim.now - parked[idx].parked_at > self.keepalive_ms:
-                pod = self._unpark(function, idx)
-                pod.vm.evict(pod)
-                pod.kill()
+                self._kill_parked(function, idx)
                 self.expired += 1
+        if self.expired != expired:
+            self.wake_pending()
 
     def _reclaim_idle(self, needed: Millicores) -> None:
         """Evict parked warm pods until some VM can fit ``needed``.
@@ -122,14 +155,109 @@ class PoolManager:
         Idle-pod reclamation under capacity pressure — what a kubelet does
         before refusing a pending pod.
         """
-        for function in self._warm:
-            while self._warm[function]:
-                if any(vm.fits(needed) for vm in self.vms):
-                    return
-                pod = self._unpark(function, 0)
-                pod.vm.evict(pod)
-                pod.kill()
+        reclaimed = self.reclaimed
+        for function, parked in self._warm.items():
+            while parked and not any(vm.fits(needed) for vm in self.vms):
+                self._kill_parked(function, 0)
                 self.reclaimed += 1
+        if self.reclaimed != reclaimed:
+            self.wake_pending()
+
+    # -- pending pods --------------------------------------------------------
+    def _before_ticks(self) -> bool:
+        """Whether the running event precedes the grid ticks due now.
+
+        A tick is scheduled one interval before it is due, so only a
+        timeout scheduled longer ago than that runs ahead of it.
+        """
+        active = self.sim.active_event
+        return (
+            isinstance(active, Timeout)
+            and active.delay > self.retry_interval_ms
+        )
+
+    def _next_tick(self, waiter: _Pending) -> float:
+        """The first grid tick of ``waiter`` that sees a change made now.
+
+        Ticks are summed one interval at a time, exactly as a chain of
+        ``retry_interval_ms`` timeouts reaches them. An armed waiter keeps
+        the tick it is armed for.
+        """
+        if waiter.event.triggered:
+            return waiter.tick
+        now = self.sim.now
+        step = self.retry_interval_ms
+        while waiter.tick < now:
+            waiter.tick += step
+            waiter.ticks += 1
+        if waiter.tick == now and not self._before_ticks():
+            waiter.tick += step
+            waiter.ticks += 1
+        return waiter.tick
+
+    def wake_pending(self) -> None:
+        """Arm a wake for every pending pod a grid tick could now serve.
+
+        Called after anything that frees room or parks a pod. A pending pod
+        can place once an up VM has its size free, and any parked pod means
+        its next check would reclaim. A wake lands on the pod's next grid
+        tick; a wake too many is only a check that finds nothing. Every pod
+        due on an armed tick is armed with it, in queue order, so checks at
+        the same instant keep the order their ticks would have had.
+        """
+        pending = self._pending
+        if not pending:
+            return
+        parked = any(self._warm.values())
+        room = max((vm.free for vm in self.vms if vm.up), default=0)
+        due = {
+            self._next_tick(waiter)
+            for waiter in pending
+            if not waiter.event.triggered and (parked or waiter.size <= room)
+        }
+        if not due:
+            return
+        for waiter in pending:
+            if not waiter.event.triggered and self._next_tick(waiter) in due:
+                self.sim.succeed_at(waiter.event, waiter.tick)
+
+    def _enqueue(self, waiter: _Pending) -> None:
+        """Queue a new pending pod in the order its grid ticks run.
+
+        A pod that starts waiting while an event ahead of the ticks due now
+        runs checks before every pod due now; otherwise it goes last.
+        """
+        pending = self._pending
+        if self._before_ticks():
+            now = self.sim.now
+            for idx, other in enumerate(pending):
+                if self._next_tick(other) == now:
+                    pending.insert(idx, waiter)
+                    return
+        pending.append(waiter)
+
+    def _wait_for_room(self, function: str, size: Millicores):
+        """Process: wait as a pending pod; returns the VM a tick found.
+
+        Each wake checks exactly as a poll on that tick would: count the
+        ticks waited, reclaim idle pods, then try to pick a VM.
+        """
+        step = self.retry_interval_ms
+        waiter = _Pending(size, self.sim.now + step, Event(self.sim))
+        self._enqueue(waiter)
+        try:
+            while True:
+                yield waiter.event
+                self.throttled += waiter.ticks
+                self._reclaim_idle(size)
+                vm = self._pick_vm(function, size)
+                if vm is not None:
+                    return vm
+                waiter.tick = self.sim.now + step
+                waiter.ticks = 1
+                waiter.event = Event(self.sim)
+        finally:
+            self._pending.remove(waiter)
 
     # -- pod acquisition -----------------------------------------------------
     def acquire(self, function: str, size: Millicores):
@@ -163,11 +291,8 @@ class PoolManager:
             if vm is None:
                 self._reclaim_idle(size)
                 vm = self._pick_vm(function, size)
-            while vm is None:
-                self.throttled += 1
-                yield self.sim.timeout(self.retry_interval_ms)
-                self._reclaim_idle(size)
-                vm = self._pick_vm(function, size)
+            if vm is None:
+                vm = yield from self._wait_for_room(function, size)
             pod = Pod(function, size, vm)
             vm.place(pod)
             yield self.sim.timeout(model.cold_start_ms)
@@ -182,7 +307,10 @@ class PoolManager:
 
     def _resize(self, pod: Pod, size: Millicores) -> None:
         if pod.size != size:
+            shrinking = size < pod.size
             pod.vm.resize_pod(pod, size)
+            if shrinking:
+                self.wake_pending()
 
     def release(self, pod: Pod) -> None:
         """Return a pod after an invocation; park or reclaim it."""
@@ -206,6 +334,7 @@ class PoolManager:
         else:
             pod.vm.evict(pod)
             pod.kill()
+        self.wake_pending()
 
     # -- fault handling ------------------------------------------------------
     def evict_parked_on(self, vm: VirtualMachine) -> int:
@@ -221,9 +350,7 @@ class PoolManager:
             parked = self._warm[function]
             for idx in range(len(parked) - 1, -1, -1):
                 if parked[idx].pod.vm is vm:
-                    pod = self._unpark(function, idx)
-                    vm.evict(pod)
-                    pod.kill()
+                    self._kill_parked(function, idx)
                     evicted += 1
         return evicted
 

@@ -22,6 +22,8 @@ class VirtualMachine:
         self.vm_id = int(vm_id)
         self.capacity = int(capacity_millicores)
         self._pods: dict[int, "Pod"] = {}
+        #: Sum of resident pod sizes, kept in step by place/evict/resize.
+        self._allocated = 0
         #: Availability flag flipped by fault injection (preemption/crash).
         #: A down VM refuses placement; recovery restores it empty.
         self.up = True
@@ -32,16 +34,16 @@ class VirtualMachine:
     @property
     def allocated(self) -> Millicores:
         """Millicores currently reserved by resident pods."""
-        return sum(p.size for p in self._pods.values())
+        return self._allocated
 
     @property
     def free(self) -> Millicores:
         """Unreserved millicores."""
-        return self.capacity - self.allocated
+        return self.capacity - self._allocated
 
     def fits(self, size: Millicores) -> bool:
         """Whether a pod of ``size`` can be placed here (never on a down VM)."""
-        return self.up and size <= self.free
+        return self.up and size <= self.capacity - self._allocated
 
     # -- placement ----------------------------------------------------------
     def place(self, pod: "Pod") -> None:
@@ -53,12 +55,14 @@ class VirtualMachine:
                 f"VM {self.vm_id}: pod of {pod.size} mc exceeds free {self.free} mc"
             )
         self._pods[pod.pod_id] = pod
+        self._allocated += pod.size
 
     def evict(self, pod: "Pod") -> None:
         """Remove a pod."""
         if pod.pod_id not in self._pods:
             raise ClusterError(f"pod {pod.pod_id} not on VM {self.vm_id}")
         del self._pods[pod.pod_id]
+        self._allocated -= pod.size
 
     def resize_pod(self, pod: "Pod", new_size: Millicores) -> None:
         """Adjust a resident pod's reservation (vertical scaling)."""
@@ -71,6 +75,7 @@ class VirtualMachine:
             raise ClusterError(
                 f"VM {self.vm_id}: resize by +{delta} mc exceeds free {self.free} mc"
             )
+        self._allocated += int(new_size) - pod.size
         pod._size = int(new_size)
 
     # -- co-location ---------------------------------------------------------

@@ -13,6 +13,7 @@ from ..errors import ClusterError, ExperimentError, TraceError
 from ..fleet.topology import FleetConfig, parse_fleet
 from ..rng import child_seed
 from ..traces.workload import ArrivalSpec
+from ..workflow.catalog import Workflow
 from .registry import SCENARIO_WORKFLOWS
 
 __all__ = [
@@ -126,15 +127,32 @@ def storm_arrival(base: ArrivalSpec, spec: FaultSpec) -> ArrivalSpec:
 
 
 @functools.lru_cache(maxsize=64)
-def _workflow_node_count(name: str, epoch: int) -> int:
-    """DAG node count of a registered workflow (cached per registration).
+def _cached_workflow(name: str, epoch: int) -> Workflow:
+    """A registered workflow, built once per registration.
 
     ``epoch`` keys the cache on the registry's re-registration counter so
-    a swapped factory is re-measured without evicting other names.
+    a swapped factory is rebuilt without evicting other names.
     """
     from .registry import scenario_workflow
 
-    return scenario_workflow(name).dag.num_nodes
+    return scenario_workflow(name)
+
+
+def _check_vm_capacity(
+    workflows: _t.Iterable[str], cluster: ClusterConfig
+) -> None:
+    """:meth:`ClusterConfig.check_workflow` at construction, for names."""
+    from .registry import workflow_epoch
+
+    for name in workflows:
+        try:
+            workflow = _cached_workflow(name, workflow_epoch(name))
+        except Exception:
+            continue  # an unknown or broken workflow fails in its own cell
+        try:
+            cluster.check_workflow(workflow)
+        except ClusterError as exc:
+            raise ExperimentError(f"cluster config: {exc}") from exc
 
 
 #: Relative per-request weight of serving a cell on the DES cluster
@@ -226,6 +244,8 @@ class Scenario:
                 f"accepts a 'config' option (e.g. 'cluster'), got "
                 f"executor={self.executor!r}"
             )
+        if self.cluster is not None:
+            _check_vm_capacity((self.workflow,), self.cluster)
         if self.streaming and self.executor not in _STREAMING_EXECUTORS:
             raise ExperimentError(
                 f"streaming cells require an analytic backend (executor "
@@ -298,9 +318,9 @@ class Scenario:
         from .registry import workflow_epoch
 
         try:
-            nodes = _workflow_node_count(
+            nodes = _cached_workflow(
                 self.workflow, workflow_epoch(self.workflow)
-            )
+            ).dag.num_nodes
         except Exception:
             # A broken factory must fail inside the evaluated cell (with
             # attribution), never in the scheduler's dispatch ordering.
@@ -438,6 +458,8 @@ class ScenarioMatrix:
                 f"{list(self.executors)} accepts one — the knobs would be "
                 "silently ignored; add executors=(..., 'cluster')"
             )
+        if self.cluster is not None:
+            _check_vm_capacity(self.workflows, self.cluster)
         if self.streaming:
             bad = [e for e in self.executors if e not in _STREAMING_EXECUTORS]
             if bad:

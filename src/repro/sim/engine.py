@@ -29,13 +29,14 @@ __all__ = ["Simulator"]
 class Simulator:
     """Event-driven simulation engine with millisecond float time."""
 
-    __slots__ = ("_now", "_heap", "_seq", "_event_count")
+    __slots__ = ("_now", "_heap", "_seq", "_event_count", "_active")
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._event_count = 0
+        self._active: Event | None = None
 
     # -- time ---------------------------------------------------------------
     @property
@@ -47,6 +48,16 @@ class Simulator:
     def processed_events(self) -> int:
         """Total number of events processed so far (for diagnostics)."""
         return self._event_count
+
+    @property
+    def active_event(self) -> Event | None:
+        """The event whose callbacks are running, or ``None`` between runs.
+
+        Lets a callback tell how its event was scheduled (a
+        :class:`Timeout`'s ``delay``), which fixes its place among the
+        other events due at the same instant.
+        """
+        return self._active
 
     # -- event factories ------------------------------------------------------
     def event(self) -> Event:
@@ -76,6 +87,23 @@ class Simulator:
         heapq.heappush(self._heap, (self._now + delay, self._seq, event))
         self._seq += 1
 
+    def succeed_at(self, event: Event, at: float) -> Event:
+        """Trigger ``event`` to fire at the absolute time ``at``.
+
+        ``event.succeed(delay=at - now)`` fires at ``now + (at - now)``,
+        which floating point need not round back to ``at``.
+        """
+        if at < self._now:
+            raise SimulationError(
+                f"cannot schedule into the past: at={at} < now={self._now}"
+            )
+        if event._triggered:
+            raise SimulationError("event already triggered")
+        event._triggered = True
+        heapq.heappush(self._heap, (at, self._seq, event))
+        self._seq += 1
+        return event
+
     # -- run loop -------------------------------------------------------------
     def step(self) -> None:
         """Process exactly one event; raise if the heap is empty."""
@@ -86,7 +114,9 @@ class Simulator:
             raise SimulationError(f"time went backwards: {t} < {self._now}")
         self._now = t
         self._event_count += 1
+        self._active = event
         event._process()
+        self._active = None
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when idle."""
@@ -114,6 +144,7 @@ class Simulator:
                 while heap:
                     t, _, event = pop(heap)
                     self._now = t
+                    self._active = event
                     count += 1
                     event._processed = True
                     callbacks = event.callbacks
@@ -123,6 +154,7 @@ class Simulator:
                             cb(event)
             finally:
                 self._event_count += count
+                self._active = None
             return None
         if isinstance(until, Event):
             stop = until
@@ -134,6 +166,7 @@ class Simulator:
                         )
                     t, _, event = pop(heap)
                     self._now = t
+                    self._active = event
                     count += 1
                     event._processed = True
                     callbacks = event.callbacks
@@ -143,6 +176,7 @@ class Simulator:
                             cb(event)
             finally:
                 self._event_count += count
+                self._active = None
             if not stop.ok:
                 raise stop.value
             return stop.value
@@ -155,6 +189,7 @@ class Simulator:
             while heap and heap[0][0] <= deadline:
                 t, _, event = pop(heap)
                 self._now = t
+                self._active = event
                 count += 1
                 event._processed = True
                 callbacks = event.callbacks
@@ -164,5 +199,6 @@ class Simulator:
                         cb(event)
         finally:
             self._event_count += count
+            self._active = None
         self._now = deadline
         return None

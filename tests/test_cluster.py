@@ -751,7 +751,8 @@ class TestSaturation:
 
 
 class TestMultiTenantPlatform:
-    def _setup(self, n=25, rate=2.0):
+    def _setup(self, n=25, rate=2.0, config=None,
+               plans=([1500, 1500, 1500], [1000, 1000])):
         from repro.cluster.multi import MultiTenantPlatform, TenantJob
 
         wf_a = make_chain_workflow(slo_ms=8000.0)
@@ -768,13 +769,13 @@ class TestMultiTenantPlatform:
         )
         platform = MultiTenantPlatform(
             {"a": wf_a, "b": wf_b},
-            ClusterConfig(n_vms=2, vm_capacity_millicores=20_000,
-                          warm_pool_size=2, autoscale=False),
+            config or ClusterConfig(n_vms=2, vm_capacity_millicores=20_000,
+                                    warm_pool_size=2, autoscale=False),
         )
         jobs = [
             TenantJob(
                 tenant="a",
-                policy=FixedPlanPolicy("fa", [1500, 1500, 1500]),
+                policy=FixedPlanPolicy("fa", plans[0]),
                 requests=tuple(generate_requests(
                     wf_a, WorkloadConfig(n_requests=n, arrival_rate_per_s=rate),
                     seed=1,
@@ -782,7 +783,7 @@ class TestMultiTenantPlatform:
             ),
             TenantJob(
                 tenant="b",
-                policy=FixedPlanPolicy("fb", [1000, 1000]),
+                policy=FixedPlanPolicy("fb", plans[1]),
                 requests=tuple(generate_requests(
                     wf_b, WorkloadConfig(n_requests=n, arrival_rate_per_s=rate),
                     seed=2,
@@ -1121,3 +1122,290 @@ class TestPoolFaultPaths:
         assert acquired and acquired[0].state is PodState.WARM
         assert acquired[0].vm.up
         assert pool.fault_stats.evictions == 1
+
+
+class PollingPool(PoolManager):
+    """Reference pool: the fixed-interval poll the wait-queue replaced.
+
+    A pending pod re-checks on every ``retry_interval_ms`` tick whether or
+    not anything changed. The wait-queue must reproduce it exactly.
+    """
+
+    def _wait_for_room(self, function, size):
+        vm = None
+        while vm is None:
+            self.throttled += 1
+            yield self.sim.timeout(self.retry_interval_ms)
+            self._reclaim_idle(size)
+            vm = self._pick_vm(function, size)
+        return vm
+
+
+#: Extras that are diagnostics of the implementation, not of the model.
+_UNMODELLED_EXTRAS = ("events_processed", "synthesis_seconds")
+
+
+def _served(result):
+    """Everything a run decided: per-request stages plus modelled extras."""
+    stages = [
+        (o.request_id, o.arrival_ms,
+         [(s.function, s.size, s.start_ms, s.end_ms, s.cold_start_ms)
+          for s in o.stages])
+        for o in result.outcomes
+    ]
+    extras = {
+        k: v for k, v in result.extras.items() if k not in _UNMODELLED_EXTRAS
+    }
+    return stages, extras
+
+
+def _sweep_cell_runs(monkeypatch, pool_cls, **matrix):
+    """Serve a one-cell sweep matrix; returns each policy's RunResult."""
+    import repro.cluster.platform as platform_module
+    from repro.scenarios import ScenarioMatrix
+    from repro.scenarios.runner import run_scenario
+
+    runs = {}
+    serve = ServerlessPlatform.run
+
+    def capture(self, policy, requests):
+        runs[policy.name] = result = serve(self, policy, requests)
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(platform_module, "PoolManager", pool_cls)
+        patch.setattr(ServerlessPlatform, "run", capture)
+        (cell,) = ScenarioMatrix(**matrix).expand()
+        run_scenario(cell)
+    return runs
+
+
+def _congested(workflow="IA", arrival="constant@125", n_requests=200, **extra):
+    from repro.scenarios.matrix import parse_arrival
+
+    return dict(
+        workflows=(workflow,), arrivals=(parse_arrival(arrival),),
+        slo_scales=(2.0,), executors=("cluster",),
+        policies=("GrandSLAM", "Janus"), n_requests=n_requests,
+        samples=400, seed=1, **extra,
+    )
+
+
+def _parity_cells():
+    from repro.scenarios.matrix import parse_cluster_config, parse_fault
+
+    return {
+        "ia-constant@125": _congested(),
+        "ia-poisson@8": _congested(arrival="poisson@8"),
+        "media-dag": _congested(
+            workflow="media", arrival="poisson@12", n_requests=100
+        ),
+        "preempt@20:300": _congested(
+            n_requests=120, faults=(parse_fault("preempt@20:300"),)
+        ),
+        "keepalive": _congested(
+            arrival="poisson@8", n_requests=150,
+            cluster=parse_cluster_config("keepalive_ms=200,min_warm=0"),
+        ),
+    }
+
+
+class TestPendingPodWaitQueue:
+    """Pending pods sleep until capacity can have changed, then re-check
+    on their own grid tick: outputs stay identical to polling."""
+
+    @pytest.mark.parametrize("cell", sorted(_parity_cells()))
+    def test_matches_polling_reference(self, monkeypatch, cell):
+        matrix = _parity_cells()[cell]
+        queued = _sweep_cell_runs(monkeypatch, PoolManager, **matrix)
+        polled = _sweep_cell_runs(monkeypatch, PollingPool, **matrix)
+        assert list(queued) == list(polled) == ["GrandSLAM", "Janus"]
+        for name in queued:
+            assert polled[name].extras["throttled"] > 0  # genuinely congested
+            assert _served(queued[name]) == _served(polled[name])
+
+    def test_multi_tenant_matches_polling_reference(self, monkeypatch):
+        import repro.cluster.platform as platform_module
+
+        platform, jobs = TestMultiTenantPlatform()._setup(
+            n=60, rate=40.0, plans=([2500, 1500, 3000], [2000, 1000]),
+            config=ClusterConfig(n_vms=2, vm_capacity_millicores=6000,
+                                 warm_pool_size=1),
+        )
+
+        def serve(pool_cls):
+            with monkeypatch.context() as patch:
+                patch.setattr(platform_module, "PoolManager", pool_cls)
+                return platform.run(jobs)
+
+        queued, polled = serve(PoolManager), serve(PollingPool)
+        for tenant in ("a", "b"):
+            assert polled[tenant].extras["throttled"] > 0
+            assert _served(queued[tenant]) == _served(polled[tenant])
+
+    def test_congested_cell_costs_few_events(self, monkeypatch):
+        # Polling cost the Janus cell 366 events per invocation.
+        janus = _sweep_cell_runs(monkeypatch, PoolManager, **_congested())[
+            "Janus"
+        ]
+        invocations = sum(len(o.stages) for o in janus.outcomes)
+        assert janus.extras["events_processed"] / invocations <= 100
+
+    @staticmethod
+    def _contend(pool_cls, up_at):
+        """A 2000 mc pod pends while VM 1 is down and VM 0 is full; the
+        VM's recovery at ``up_at`` must wake it. Returns (acquired, pool)."""
+        from repro.cluster.faults import FaultEvent, FaultInjector, FaultStats
+
+        sim = Simulator()
+        vms = [VirtualMachine(i, 3000) for i in range(2)]
+        fn = make_function("F", sigma=0.0)
+        pool = pool_cls(sim, vms, {"F": fn}, warm_pool_size=0)
+        FaultInjector(sim, vms, pool, [
+            FaultEvent(0.0, 1, "down", "preempt"),
+            FaultEvent(up_at, 1, "up", "preempt"),
+        ], FaultStats()).start()
+
+        def holder():
+            pod = yield from pool.acquire("F", 3000)
+            pod.start_invocation()
+            yield sim.timeout(10_000.0)
+
+        def contender():
+            pod = yield from pool.acquire("F", 2000)
+            return sim.now, pod.vm.vm_id
+
+        sim.process(holder())
+        return sim.run(until=sim.process(contender())), pool
+
+    @pytest.mark.parametrize("up_at", [237.5, 250.0])
+    def test_vm_recovery_wakes_pending_pod(self, up_at):
+        # 250.0 recovers exactly on one of the pod's ticks: the recovery
+        # was scheduled long before that tick, so the tick already sees it.
+        acquired, pool = self._contend(PoolManager, up_at)
+        reference, polled = self._contend(PollingPool, up_at)
+        cold = make_function("F").cold_start_ms
+        tick = 250.0 if up_at == 250.0 else 240.0
+        assert acquired == reference == (tick + cold, 1)
+        assert pool.throttled == polled.throttled == tick / 10.0
+
+    @staticmethod
+    def _same_tick(pool_cls):
+        """Two pods start waiting at t=0, a 3000 mc pod then a 1000 mc one,
+        so they share one grid. Releases at 602 and 605 make first the
+        small, then the big one fit before their common tick at 610.
+        Returns when each acquired its pod."""
+        sim = Simulator()
+        pool = pool_cls(sim, [VirtualMachine(0, 4000)],
+                        {"F": make_function("F", sigma=0.0)},
+                        warm_pool_size=0)
+
+        def holder(size, busy_ms):
+            pod = yield from pool.acquire("F", size)
+            pod.start_invocation()
+            yield sim.timeout(busy_ms)
+            pod.finish_invocation()
+            pool.release(pod)
+
+        def waiter(size):
+            yield from pool.acquire("F", size)
+            return sim.now
+
+        for size, busy_ms in ((1000, 102.0), (2000, 105.0), (1000, 303.0)):
+            sim.process(holder(size, busy_ms))
+        big, small = sim.process(waiter(3000)), sim.process(waiter(1000))
+        sim.run(until=sim.all_of([big, small]))
+        return big.value, small.value
+
+    def test_pods_due_on_one_tick_check_in_queue_order(self):
+        # Polling checks the big pod first at 610 (it started waiting
+        # first), so it takes the 3000 mc and the small pod waits for the
+        # release at 803.
+        cold = make_function("F").cold_start_ms
+        expected = (610.0 + cold, 810.0 + cold)
+        assert self._same_tick(PollingPool) == expected
+        assert self._same_tick(PoolManager) == expected
+
+    @staticmethod
+    def _shrink(pool_cls):
+        """A parked 3000 mc pod shrinks to 1000 on a warm hit while a
+        2000 mc pod pends; the freed room must serve the pending pod."""
+        sim = Simulator()
+        vms = [VirtualMachine(0, 4000)]
+        fns = {"A": make_function("A", sigma=0.0),
+               "B": make_function("B", sigma=0.0)}
+        pool = pool_cls(sim, vms, fns, warm_pool_size=1)
+
+        def holder():
+            pod = yield from pool.acquire("A", 3000)
+            pod.start_invocation()
+            yield sim.timeout(205.0)  # releases at 705, off the B grid
+            pod.finish_invocation()
+            pool.release(pod)
+
+        def reuser():
+            yield sim.timeout(707.0)
+            pod = yield from pool.acquire("A", 1000)
+            assert pod.size == 1000  # the parked pod, shrunk in place
+
+        def contender():
+            yield from pool.acquire("B", 2000)
+            return sim.now
+
+        sim.process(holder())
+        sim.process(reuser())
+        return sim.run(until=sim.process(contender())), pool
+
+    def test_shrinking_warm_hit_serves_pending_pod(self):
+        acquired, pool = self._shrink(PoolManager)
+        reference, polled = self._shrink(PollingPool)
+        assert acquired == reference == 710.0 + make_function("B").cold_start_ms
+        assert pool.throttled == polled.throttled == 71
+        assert pool.warm_hits == polled.warm_hits == 1
+        assert pool.reclaimed == polled.reclaimed == 0
+
+
+class TestVMCapacityValidation:
+    """A VM smaller than a workflow's largest pod used to hang the run."""
+
+    def test_platform_rejects_vm_below_kmax(self):
+        wf = make_chain_workflow()
+        with pytest.raises(ClusterError, match="vm_capacity_millicores"):
+            ServerlessPlatform(wf, ClusterConfig(vm_capacity_millicores=2500))
+
+    def test_multi_tenant_platform_rejects_vm_below_kmax(self):
+        from repro.cluster.multi import MultiTenantPlatform
+
+        with pytest.raises(ClusterError, match="'chain3'.*kmax=3000"):
+            MultiTenantPlatform(
+                {"a": make_chain_workflow()},
+                ClusterConfig(vm_capacity_millicores=900),
+            )
+
+    @pytest.mark.parametrize("capacity", [900, 2500])
+    def test_matrix_rejects_vm_below_kmax(self, capacity):
+        from dataclasses import replace
+
+        from repro.errors import ExperimentError
+        from repro.scenarios import ScenarioMatrix
+        from repro.scenarios.matrix import parse_cluster_config
+
+        cluster = parse_cluster_config(f"vm_capacity_millicores={capacity}")
+        with pytest.raises(ExperimentError, match="vm_capacity_millicores") as exc:
+            ScenarioMatrix(**_congested(n_requests=5), cluster=cluster)
+        assert "'IA'" in str(exc.value) and "kmax=3000" in str(exc.value)
+        (cell,) = ScenarioMatrix(**_congested(n_requests=5)).expand()
+        with pytest.raises(ExperimentError, match="vm_capacity_millicores"):
+            replace(cell, cluster=cluster)
+
+    def test_vm_of_exactly_kmax_runs(self, monkeypatch):
+        from repro.scenarios.matrix import parse_cluster_config
+
+        runs = _sweep_cell_runs(
+            monkeypatch, PoolManager,
+            **_congested(
+                n_requests=20,
+                cluster=parse_cluster_config("vm_capacity_millicores=3000"),
+            ),
+        )
+        assert all(len(r.outcomes) == 20 for r in runs.values())

@@ -124,6 +124,36 @@ class TestRunLoop:
         sim.run()
         assert sim.processed_events == 5
 
+    def test_succeed_at_fires_at_the_exact_time(self):
+        # 0.2 + (0.9 - 0.2) rounds to 0.8999999999999999, not 0.9.
+        sim = Simulator()
+        sim.run(until=0.2)
+        assert sim.now + (0.9 - sim.now) != 0.9
+        ev = sim.succeed_at(sim.event(), 0.9)
+        sim.run()
+        assert ev.processed and sim.now == 0.9
+        with pytest.raises(SimulationError):
+            sim.succeed_at(sim.event(), 0.5)  # in the past
+        with pytest.raises(SimulationError):
+            sim.succeed_at(ev, 1.0)  # already triggered
+
+    @pytest.mark.parametrize("mode", ["run", "until-event", "until-time", "step"])
+    def test_active_event_is_the_one_being_processed(self, mode):
+        sim = Simulator()
+        seen = []
+        ev = sim.timeout(3.0)
+        ev.add_callback(lambda e: seen.append(sim.active_event))
+        assert sim.active_event is None
+        if mode == "run":
+            sim.run()
+        elif mode == "until-event":
+            sim.run(until=ev)
+        elif mode == "until-time":
+            sim.run(until=5.0)
+        else:
+            sim.step()
+        assert seen == [ev] and sim.active_event is None
+
 
 class TestProcesses:
     def test_process_sequencing(self):
