@@ -137,6 +137,64 @@ def test_analytic_batch_throughput(benchmark, bench_requests, bench_samples):
     _write_results()
 
 
+def test_oracle_throughput(benchmark):
+    """Requests/s through the Optimal oracle, batched and one row at a time.
+
+    IA and VA, 400 requests each at SLO x1, seed 1; the size is fixed (no
+    env scaling) so the guarded batched rate compares across runs. The
+    batched rate runs ``AnalyticExecutor.run``, which solves every begun
+    request in one pass; the one-row rate begins, sizes and ends each
+    request in turn, as the DES cluster and serving paths do. Best of 3.
+    """
+    from repro.policies.oracle import OraclePolicy
+    from repro.runtime.executor import AnalyticExecutor
+    from repro.traces.workload import WorkloadConfig, generate_requests
+    from repro.workflow.catalog import intelligent_assistant, video_analytics
+
+    cases = [
+        (wf, generate_requests(wf, WorkloadConfig(n_requests=400), seed=1))
+        for wf in (intelligent_assistant(), video_analytics())
+    ]
+    n = sum(len(requests) for _, requests in cases)
+
+    def batched():
+        start = time.perf_counter()
+        sizes = [
+            AnalyticExecutor(wf).run(OraclePolicy(wf), requests).columns.sizes
+            for wf, requests in cases
+        ]
+        return time.perf_counter() - start, sizes
+
+    def one_row():
+        start = time.perf_counter()
+        sizes = []
+        for wf, requests in cases:
+            oracle = OraclePolicy(wf)
+            stages = range(len(wf.chain))
+            plans = []
+            for request in requests:
+                oracle.begin_request(request)
+                plans.append([oracle.size_for_stage(i, request, 0.0) for i in stages])
+                oracle.end_request(request)
+            sizes.append(plans)
+        return time.perf_counter() - start, sizes
+
+    batched_s, batched_sizes = run_once(benchmark, batched)
+    batched_s = min([batched_s] + [batched()[0] for _ in range(2)])
+    one_row_s, one_row_sizes = min(one_row() for _ in range(3))
+    for got, want in zip(batched_sizes, one_row_sizes):
+        assert got.tolist() == want  # a plan never depends on its batch
+    print(f"\noracle ({n} requests, IA+VA): {n / batched_s:,.0f} req/s "
+          f"batched, {n / one_row_s:,.0f} req/s one row at a time")
+    _RESULTS["oracle"] = {
+        "requests": n,
+        "batched_seconds": batched_s,
+        "batched_requests_per_s": n / batched_s,
+        "one_row_requests_per_s": n / one_row_s,
+    }
+    _write_results()
+
+
 def test_synthesis_memoisation(benchmark, bench_samples):
     """Live vs memoised hint synthesis for the IA chain."""
     from repro.experiments.common import ia_setup

@@ -40,6 +40,10 @@ GUARDED: dict[str, tuple[str, ...]] = {
     # The fixed-size congested DES cluster cell (pending pods waiting for
     # capacity): an end-to-end cell rate, not a component one.
     "cluster": ("congested_requests_per_s",),
+    # The batched Optimal oracle on a fixed IA+VA stream (400 requests
+    # each): its solve dominates a default sweep. The one-row rate stays
+    # unguarded, and no ratio is guarded.
+    "oracle": ("batched_requests_per_s",),
 }
 
 
