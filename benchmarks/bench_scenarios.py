@@ -195,6 +195,45 @@ def test_oracle_throughput(benchmark):
     _write_results()
 
 
+def test_orion_build_throughput(benchmark):
+    """ORION policy builds per second on fixed IA and VA profiles.
+
+    IA and VA at SLO x1 and x1.25, profiled with 1,000 samples at profile
+    seed 1; the size is fixed (no env scaling) so the guarded rate
+    compares across runs. Profiling happens before the timer: the rate is
+    the build alone, as a sweep cell pays it. Best of 3.
+    """
+    from repro.policies.orion import OrionPolicy
+    from repro.profiling.profiler import profile_workflow
+    from repro.workflow.catalog import intelligent_assistant, video_analytics
+
+    cases = [
+        (wf, profile_workflow(wf, seed=1, samples=1000), wf.slo_ms * scale)
+        for wf in (intelligent_assistant(), video_analytics())
+        for scale in (1.0, 1.25)
+    ]
+
+    def build_all():
+        start = time.perf_counter()
+        plans = [
+            OrionPolicy(wf, profiles, slo_ms=slo).plan
+            for wf, profiles, slo in cases
+        ]
+        return time.perf_counter() - start, plans
+
+    seconds, plans = run_once(benchmark, build_all)
+    seconds = min([seconds] + [build_all()[0] for _ in range(2)])
+    assert all(len(plan) == 3 for plan in plans)
+    print(f"\norion ({len(cases)} builds, IA+VA): "
+          f"{len(cases) / seconds:,.1f} builds/s")
+    _RESULTS["orion"] = {
+        "builds": len(cases),
+        "build_seconds": seconds,
+        "builds_per_s": len(cases) / seconds,
+    }
+    _write_results()
+
+
 def test_synthesis_memoisation(benchmark, bench_samples):
     """Live vs memoised hint synthesis for the IA chain."""
     from repro.experiments.common import ia_setup

@@ -44,6 +44,9 @@ GUARDED: dict[str, tuple[str, ...]] = {
     # each): its solve dominates a default sweep. The one-row rate stays
     # unguarded, and no ratio is guarded.
     "oracle": ("batched_requests_per_s",),
+    # ORION's policy build on fixed IA and VA profiles (4 builds): one
+    # build per sweep cell, the largest policy cost of a default sweep.
+    "orion": ("builds_per_s",),
 }
 
 

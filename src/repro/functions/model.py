@@ -171,20 +171,21 @@ class FunctionModel:
 
     # -- batched evaluation (vectorised executor hot path) ------------------
     def workset_factors(self, worksets: np.ndarray) -> np.ndarray:
-        """Vector of ``workset_factor`` values, bit-identical to the scalar.
+        """Array of ``workset_factor`` values, bit-identical to the scalar.
 
         ``x ** gamma`` is evaluated with Python's ``float.__pow__`` per
         element: ``np.power`` uses a different algorithm and diverges from
         the scalar path in the last ulp for a few percent of inputs, which
-        would break the bit-exact replay contract.
+        would break the bit-exact replay contract. Any shape is kept.
         """
+        worksets = np.asarray(worksets, dtype=np.float64)
         if self.workset_gamma == 0.0:
-            return np.ones(len(worksets), dtype=np.float64)
+            return np.ones(worksets.shape, dtype=np.float64)
         ref = self.workset.reference
         gamma = self.workset_gamma
         return np.asarray(
-            [(w / ref) ** gamma for w in worksets.tolist()], dtype=np.float64
-        )
+            [(w / ref) ** gamma for w in worksets.ravel().tolist()], dtype=np.float64
+        ).reshape(worksets.shape)
 
     def batch_factors(self, concurrencies: np.ndarray) -> np.ndarray:
         """Vector of ``batch_factor`` values, bit-identical to the scalar."""
@@ -209,11 +210,13 @@ class FunctionModel:
         interferences: np.ndarray,
         concurrencies: np.ndarray,
     ) -> np.ndarray:
-        """Batched :meth:`execution_time` over aligned per-invocation arrays.
+        """Batched :meth:`execution_time` over broadcastable arrays.
 
         Factor order matches the scalar product exactly (base * workset *
         batch * interference * noise, left-associative), so each element is
-        bit-identical to the corresponding scalar call.
+        bit-identical to the corresponding scalar call. Per-invocation
+        columns (``(R, 1)``) against a ``(K,)`` size grid give ``(R, K)``
+        times while computing each invocation's factors once.
         """
         ks = np.asarray(ks, dtype=np.int64)
         if ks.size and int(ks.min()) <= 0:

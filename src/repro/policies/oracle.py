@@ -94,20 +94,20 @@ class OraclePolicy(SizingPolicy):
     # ------------------------------------------------------------------
     def _durations(self, requests: list[WorkflowRequest]) -> np.ndarray:
         """``int64[N, R, K]``: ceil of actual stage time per allocation."""
-        num_k = self._k_grid.size
-        ks = np.tile(self._k_grid, len(requests))
-        conc = np.repeat([r.concurrency for r in requests], num_k)
+        # (R, 1) columns against the (K,) grid: each request's factors are
+        # computed once per stage, not once per size.
+        conc = np.array([r.concurrency for r in requests])[:, None]
         stages = []
         for fname in self.workflow.chain:
             dyns = [r.dynamics_for(fname) for r in requests]
             times = self.workflow.model(fname).execution_times(
-                ks,
-                np.repeat([d.workset for d in dyns], num_k),
-                np.repeat([d.noise_z for d in dyns], num_k),
-                np.repeat([d.interference for d in dyns], num_k),
+                self._k_grid,
+                np.array([d.workset for d in dyns])[:, None],
+                np.array([d.noise_z for d in dyns])[:, None],
+                np.array([d.interference for d in dyns])[:, None],
                 conc,
             )
-            stages.append(np.ceil(times).astype(np.int64).reshape(-1, num_k))
+            stages.append(np.ceil(times).astype(np.int64))
         return np.stack(stages)
 
     def _solve_queued(self) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import typing as _t
 from dataclasses import dataclass, field, replace
 
@@ -220,8 +221,10 @@ class Scenario:
     fleet: FleetConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.slo_scale <= 0:
-            raise ExperimentError(f"slo_scale must be > 0, got {self.slo_scale}")
+        if not 0 < self.slo_scale < math.inf:
+            raise ExperimentError(
+                f"slo_scale must be finite and > 0, got {self.slo_scale}"
+            )
         if self.tenants < 1:
             raise ExperimentError(f"tenants must be >= 1, got {self.tenants}")
         if self.n_requests < 1:

@@ -24,6 +24,7 @@ trace per second).
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 import typing as _t
 from collections import deque
@@ -126,9 +127,9 @@ class ServingConfig:
             raise ExperimentError(
                 f"metrics_every must be >= 1, got {self.metrics_every}"
             )
-        if self.slo_scale <= 0:
+        if not 0 < self.slo_scale < math.inf:
             raise ExperimentError(
-                f"slo_scale must be > 0, got {self.slo_scale}"
+                f"slo_scale must be finite and > 0, got {self.slo_scale}"
             )
         if self.latency_window < 1:
             raise ExperimentError(

@@ -83,6 +83,18 @@ class TestMatrix:
         with pytest.raises(ExperimentError, match="unknown policies"):
             dataclasses.replace(cell, policies=("Jannus",))
 
+    @pytest.mark.parametrize(
+        "scale", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0]
+    )
+    def test_non_positive_or_non_finite_slo_scale_rejected(self, scale):
+        import dataclasses
+
+        with pytest.raises(ExperimentError, match="slo_scale"):
+            dataclasses.replace(SMALL_MATRIX.expand()[0], slo_scale=scale)
+        matrix = dataclasses.replace(SMALL_MATRIX, slo_scales=(1.0, scale))
+        with pytest.raises(ExperimentError, match="slo_scale"):
+            matrix.expand()
+
     def test_budgets_attached_per_workflow(self):
         import dataclasses
 

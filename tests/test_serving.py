@@ -117,6 +117,13 @@ class TestServingConfig:
         with pytest.raises(ExperimentError):
             ServingConfig(max_requests=10, time_scale=-1.0)
 
+    @pytest.mark.parametrize(
+        "scale", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0]
+    )
+    def test_non_positive_or_non_finite_slo_scale_rejected(self, scale):
+        with pytest.raises(ExperimentError, match="slo_scale"):
+            ServingConfig(max_requests=10, slo_scale=scale)
+
     def test_workset_schedule_must_ascend(self):
         with pytest.raises(ExperimentError, match="ascend"):
             ServingConfig(

@@ -494,6 +494,29 @@ class TestArrayKernels:
                 np.full(3, 1000), ones, ones, ones, np.array([1, 0, 1])
             )
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.37])
+    def test_execution_times_broadcast_matches_scalar(self, gamma):
+        # (R, 1) per-invocation columns against a (K,) size grid, as the
+        # Optimal oracle evaluates them: every cell equals the scalar call.
+        model = make_function("F", gamma=gamma, sigma=0.2)
+        rng = np.random.default_rng(5)
+        dyns = [model.sample_dynamics(rng, interference=1.0 + i / 7) for i in range(9)]
+        concs = [1 + i % 3 for i in range(9)]
+        ks = np.arange(1000, 3001, 100)
+        times = model.execution_times(
+            ks,
+            np.array([d.workset for d in dyns])[:, None],
+            np.array([d.noise_z for d in dyns])[:, None],
+            np.array([d.interference for d in dyns])[:, None],
+            np.array(concs)[:, None],
+        )
+        assert times.shape == (9, ks.size)
+        assert times.tolist() == [
+            [model.execution_time(int(k), d, c) for k in ks]
+            for d, c in zip(dyns, concs)
+        ]
+        assert model.workset_factors(np.ones((2, 1))).shape == (2, 1)
+
     def test_clamp_and_contains_arrays_match_scalar(self):
         limits = ResourceLimits(kmin=1000, kmax=3000, step=100)
         ks = np.arange(800, 3300, 7)
