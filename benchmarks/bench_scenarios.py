@@ -234,6 +234,66 @@ def test_orion_build_throughput(benchmark):
     _write_results()
 
 
+def test_request_stream_throughput(benchmark):
+    """Request generation alone, and a long two-tenant cell end to end.
+
+    ``generate_requests`` requests/s for IA, VA and media at 10k requests
+    (exact chunked draws, rows and columns); then policy-requests/s of one
+    2-tenant IA azure@8 cell with 10k requests per tenant, GrandSLAM and
+    Janus, through ``run_scenario`` with warm profile and hint memos:
+    generation, tenant merge and both batched runs. Fixed sizes (no env
+    scaling) so the guarded cell rate compares across runs. Best of 3.
+    """
+    from repro.scenarios.matrix import parse_arrival
+    from repro.scenarios.registry import scenario_workflow
+    from repro.scenarios.runner import run_scenario
+    from repro.traces.workload import WorkloadConfig, generate_requests
+
+    n = 10_000
+
+    def generation_rate(name: str) -> float:
+        workflow = scenario_workflow(name)
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            generate_requests(workflow, WorkloadConfig(n_requests=n), seed=1)
+            best = min(best, time.perf_counter() - start)
+        return n / best
+
+    rates = {
+        f"{name}_generate_requests_per_s": generation_rate(name)
+        for name in ("IA", "VA", "media")
+    }
+    (cell,) = ScenarioMatrix(
+        workflows=("IA",),
+        arrivals=(parse_arrival("azure@8"),),
+        tenant_counts=(2,),
+        policies=("GrandSLAM", "Janus"),
+        n_requests=n,
+        seed=1,
+    ).expand()
+    run_scenario(cell)  # warm the profile and hint memos
+
+    def serve():
+        start = time.perf_counter()
+        result = run_scenario(cell)
+        return time.perf_counter() - start, result
+
+    wall, result = run_once(benchmark, serve)
+    wall = min([wall] + [serve()[0] for _ in range(2)])
+    policy_requests = cell.tenants * n * len(result.table)
+    print(f"\nrequest streams ({n:,} requests): " + ", ".join(
+        f"{key.split('_')[0]} {rate:,.0f} req/s" for key, rate in rates.items()
+    ) + f"; 2-tenant IA cell {policy_requests / wall:,.0f} policy-requests/s")
+    _RESULTS["requests"] = {
+        **rates,
+        "cell_policy_requests": policy_requests,
+        "cell_seconds": wall,
+        "cell_policy_requests_per_s": policy_requests / wall,
+    }
+    _write_results()
+
+
 def test_synthesis_memoisation(benchmark, bench_samples):
     """Live vs memoised hint synthesis for the IA chain."""
     from repro.experiments.common import ia_setup

@@ -47,6 +47,10 @@ GUARDED: dict[str, tuple[str, ...]] = {
     # ORION's policy build on fixed IA and VA profiles (4 builds): one
     # build per sweep cell, the largest policy cost of a default sweep.
     "orion": ("builds_per_s",),
+    # A fixed 2-tenant IA cell with 10k requests per tenant, end to end
+    # (generation, tenant merge, two batched policy runs): the long-stream
+    # path. The per-workflow generation rates stay unguarded.
+    "requests": ("cell_policy_requests_per_s",),
 }
 
 

@@ -40,7 +40,7 @@ from ..synthesis.hints import WorkflowHints
 from ..traces.workload import WorkloadConfig, generate_requests
 from ..types import Milliseconds
 from ..workflow.catalog import Workflow
-from ..workflow.request import WorkflowRequest
+from ..workflow.request import RequestBlock, WorkflowRequest
 
 __all__ = ["Session"]
 
@@ -228,13 +228,16 @@ class Session:
         target = name if name is not None else self.executor_name
         return resolve_executor(self.workflow, target, **kwargs)
 
-    def requests(self, spec: RequestSpec = None) -> list[WorkflowRequest]:
+    def requests(self, spec: RequestSpec = None) -> _t.Sequence[WorkflowRequest]:
         """Materialise a request stream from ``spec``.
 
         ``None`` → the default :class:`WorkloadConfig`; an ``int`` → that
-        many requests; a :class:`WorkloadConfig` → as given; a sequence of
-        :class:`WorkflowRequest` passes through unchanged.
+        many requests; a :class:`WorkloadConfig` → as given (each a
+        :class:`RequestBlock`); a block passes through unchanged, any other
+        sequence of :class:`WorkflowRequest` as a list of its rows.
         """
+        if isinstance(spec, RequestBlock):
+            return spec
         if spec is not None and not isinstance(spec, (int, WorkloadConfig)):
             return list(spec)
         if isinstance(spec, int):

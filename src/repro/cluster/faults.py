@@ -139,9 +139,10 @@ class FaultSpec:
             if self.at_ms < 0:
                 raise ClusterError(f"crash time must be >= 0, got {self.at_ms}")
         elif self.kind == "storm":
-            if self.multiplier <= 1.0:
+            if not 1.0 < self.multiplier < math.inf:
                 raise ClusterError(
-                    f"storm multiplier must be > 1, got {self.multiplier}"
+                    f"storm multiplier must be finite and > 1, got "
+                    f"{self.multiplier}"
                 )
             if not 0.0 < self.window_fraction <= 1.0:
                 raise ClusterError(

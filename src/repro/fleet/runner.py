@@ -38,7 +38,7 @@ import numpy as np
 from ..cluster.faults import compile_region_failover
 from ..rng import child_seed
 from ..runtime.results import OutcomeColumns, RunResult
-from ..workflow.request import WorkflowRequest
+from ..workflow.request import RequestBlock
 from .routing import RoutingPlan, route_requests
 from .topology import FleetConfig
 
@@ -85,7 +85,7 @@ def region_arrival(arrival, region_index: int, n_regions: int):
 
 def fleet_requests(
     workflow: "Workflow", scenario: "Scenario", slo_ms: float
-) -> tuple[list[WorkflowRequest], list[int]]:
+) -> tuple[RequestBlock, list[int]]:
     """The fleet cell's merged stream and each request's home region.
 
     Returns the globally renumbered arrival-ordered requests plus a
@@ -197,7 +197,7 @@ def run_fleet_scenario(
     n_regions = len(fleet.regions)
     requests, homes = fleet_requests(session.workflow, scenario, slo_ms)
     total = len(requests)
-    arrivals = [req.arrival_ms for req in requests]
+    arrivals = requests.arrivals.tolist()
 
     outage = None
     if (
@@ -239,19 +239,16 @@ def run_fleet_scenario(
     )
     results: dict[str, RunResult] = {}
     fleet_extras: dict[str, dict[str, float]] = {}
+    # Each region serves its assigned sub-stream under locally contiguous
+    # ids (executors may index arrays by request id); rows map back to
+    # global ids on merge. Every policy serves the same sub-streams.
+    sub_streams = [
+        (indices, requests.take(indices)) for indices in by_region if indices
+    ]
     for name, policy in suite.items():
         parts: list[tuple[list[int], OutcomeColumns]] = []
         collected: list[tuple[int, dict[str, _t.Any]]] = []
-        for indices in by_region:
-            if not indices:
-                continue
-            # Each region serves its assigned sub-stream under locally
-            # contiguous ids (executors may index arrays by request id);
-            # rows map back to global ids on merge.
-            sub = [
-                dataclasses.replace(requests[i], request_id=j)
-                for j, i in enumerate(indices)
-            ]
+        for indices, sub in sub_streams:
             result = backend.run(policy, sub)
             collected.append((len(indices), dict(result.extras)))
             parts.append((indices, result.columns))

@@ -29,6 +29,8 @@ policy comparisons possible.
 from __future__ import annotations
 
 import enum
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +39,7 @@ from ..errors import FunctionModelError
 from ..types import Millicores
 from .worksets import FixedWorkset, WorksetDistribution
 
-__all__ = ["Resource", "InvocationDynamics", "FunctionModel"]
+__all__ = ["Resource", "InvocationDynamics", "FunctionModel", "check_dynamics"]
 
 _REFERENCE_MILLICORES = 1000.0
 
@@ -70,12 +72,25 @@ class InvocationDynamics:
     interference: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.workset <= 0:
-            raise FunctionModelError(f"workset must be > 0: {self.workset}")
+        if not 0.0 < self.workset < math.inf:
+            raise FunctionModelError(f"workset must be finite and > 0: {self.workset}")
         if self.interference < 1.0:
             raise FunctionModelError(
                 f"interference must be >= 1: {self.interference}"
             )
+
+
+def check_dynamics(worksets: np.ndarray, interferences: np.ndarray) -> None:
+    """:class:`InvocationDynamics`' checks, predicates and messages over
+    columns: the first invocation a row would reject raises."""
+    bad = ~((worksets > 0.0) & (worksets < math.inf))
+    if bad.any():
+        first = float(worksets[bad][0])
+        raise FunctionModelError(f"workset must be finite and > 0: {first}")
+    bad = interferences < 1.0
+    if bad.any():
+        first = float(interferences[bad][0])
+        raise FunctionModelError(f"interference must be >= 1: {first}")
 
 
 @dataclass(frozen=True)
@@ -141,14 +156,22 @@ class FunctionModel:
     def sample_dynamics(
         self,
         rng: np.random.Generator,
-        interference: float = 1.0,
-    ) -> InvocationDynamics:
-        """Draw the random state of one invocation."""
-        return InvocationDynamics(
-            workset=float(self.workset.sample(rng)),
-            noise_z=float(rng.standard_normal()),
-            interference=float(interference),
-        )
+        interference: "float | np.ndarray" = 1.0,
+        size: int | None = None,
+    ) -> "InvocationDynamics | tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """Draw one invocation's random state; with ``size=n``, the checked
+        ``(worksets, noise_zs, interferences)`` columns of ``n`` invocations,
+        with the bits and generator state of ``n`` scalar calls."""
+        if size is None:
+            return InvocationDynamics(
+                workset=float(self.workset.sample(rng)),
+                noise_z=float(rng.standard_normal()),
+                interference=float(interference),
+            )
+        worksets, noise_zs = self.workset.sample_with_noise(rng, size)
+        interferences = np.full(size, interference, dtype=np.float64)
+        check_dynamics(worksets, interferences)
+        return worksets, noise_zs, interferences
 
     def execution_time(
         self,
@@ -181,11 +204,9 @@ class FunctionModel:
         worksets = np.asarray(worksets, dtype=np.float64)
         if self.workset_gamma == 0.0:
             return np.ones(worksets.shape, dtype=np.float64)
-        ref = self.workset.reference
-        gamma = self.workset_gamma
-        return np.asarray(
-            [(w / ref) ** gamma for w in worksets.ravel().tolist()], dtype=np.float64
-        ).reshape(worksets.shape)
+        ratios = (worksets / self.workset.reference).ravel().tolist()
+        factors = map(pow, ratios, itertools.repeat(self.workset_gamma))
+        return np.fromiter(factors, np.float64, worksets.size).reshape(worksets.shape)
 
     def batch_factors(self, concurrencies: np.ndarray) -> np.ndarray:
         """Vector of ``batch_factor`` values, bit-identical to the scalar."""

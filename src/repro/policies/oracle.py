@@ -27,7 +27,7 @@ import numpy as np
 from ..errors import PolicyError
 from ..types import Millicores, Milliseconds
 from ..workflow.catalog import Workflow
-from ..workflow.request import WorkflowRequest
+from ..workflow.request import RequestBlock, WorkflowRequest
 from .base import SizingPolicy
 
 __all__ = ["OraclePolicy", "solve_plans"]
@@ -96,16 +96,13 @@ class OraclePolicy(SizingPolicy):
         """``int64[N, R, K]``: ceil of actual stage time per allocation."""
         # (R, 1) columns against the (K,) grid: each request's factors are
         # computed once per stage, not once per size.
-        conc = np.array([r.concurrency for r in requests])[:, None]
+        block = RequestBlock.of(requests)
         stages = []
         for fname in self.workflow.chain:
-            dyns = [r.dynamics_for(fname) for r in requests]
             times = self.workflow.model(fname).execution_times(
                 self._k_grid,
-                np.array([d.workset for d in dyns])[:, None],
-                np.array([d.noise_z for d in dyns])[:, None],
-                np.array([d.interference for d in dyns])[:, None],
-                conc,
+                *(column[:, None] for column in block.dynamics(fname)),
+                block.concurrencies[:, None],
             )
             stages.append(np.ceil(times).astype(np.int64))
         return np.stack(stages)

@@ -35,6 +35,7 @@ from ..errors import ExperimentError
 from ..metrics.streaming import StreamingMoments, StreamingSummary
 from ..policies.base import SizingPolicy
 from ..workflow.catalog import Workflow
+from ..workflow.request import DEFAULT_STREAM_CHUNK, RequestBlock
 from ..workflow.request import RequestOutcome, StageRecord, WorkflowRequest
 from .registry import register_executor
 from .results import (
@@ -45,35 +46,6 @@ from .results import (
 )
 
 __all__ = ["AnalyticExecutor", "DEFAULT_STREAM_CHUNK"]
-
-#: Requests per batch on the streaming path: large enough to amortise the
-#: per-stage vector dispatch, small enough to keep memory O(1) in the
-#: stream length.
-DEFAULT_STREAM_CHUNK = 2048
-
-
-def _dynamics_columns(
-    requests: _t.Sequence[WorkflowRequest], fname: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-invocation dynamics of one stage as aligned arrays."""
-    dyns = [r.dynamics_for(fname) for r in requests]
-    return (
-        np.asarray([d.workset for d in dyns], dtype=np.float64),
-        np.asarray([d.noise_z for d in dyns], dtype=np.float64),
-        np.asarray([d.interference for d in dyns], dtype=np.float64),
-    )
-
-
-def _request_columns(
-    requests: _t.Sequence[WorkflowRequest],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(ids, arrivals, slos, concurrencies) of a batch as arrays."""
-    return (
-        np.asarray([r.request_id for r in requests], dtype=np.int64),
-        np.asarray([r.arrival_ms for r in requests], dtype=np.float64),
-        np.asarray([r.slo_ms for r in requests], dtype=np.float64),
-        np.asarray([r.concurrency for r in requests], dtype=np.int64),
-    )
 
 
 def _off_grid(policy: SizingPolicy, size: int, fname: str) -> ExperimentError:
@@ -174,14 +146,16 @@ class _GraphExecutor:
     ) -> OutcomeColumns:
         """Serve a batch node by node, each node across every request.
 
-        Assumes the policy is bound. Stage columns follow execution order;
+        Assumes the policy is bound; reads the batch's
+        :class:`RequestBlock` columns. Stage columns follow execution order;
         on a non-path graph ``order`` is the per-request stable argsort of
         completion times, matching :meth:`run_request`'s stable sort.
         """
         limits = self.workflow.limits
+        requests = RequestBlock.of(requests)
         shape = (len(requests), len(self.nodes))
         _run_hooks(policy, requests, "begin_request")
-        ids, arrivals, slos, concurrencies = _request_columns(requests)
+        arrivals, concurrencies = requests.arrivals, requests.concurrencies
         sizes = np.empty(shape, dtype=np.int64)
         starts = np.empty(shape, dtype=np.float64)
         ends = np.empty(shape, dtype=np.float64)
@@ -203,9 +177,7 @@ class _GraphExecutor:
                 if not bool(on_grid.all()):
                     bad = int(ks[np.flatnonzero(~on_grid)[0]])
                     raise _off_grid(policy, bad, fname)
-            worksets, noise_zs, interferences = _dynamics_columns(
-                requests, fname
-            )
+            worksets, noise_zs, interferences = requests.dynamics(fname)
             exec_ms = self.workflow.model(fname).execution_times(
                 ks, worksets, noise_zs, interferences, concurrencies
             )
@@ -216,9 +188,9 @@ class _GraphExecutor:
             end_offsets.append(offset + exec_ms)
         _run_hooks(policy, requests, "end_request")
         return OutcomeColumns(
-            request_ids=ids,
+            request_ids=requests.request_ids,
             arrivals=arrivals,
-            slos=slos,
+            slos=requests.slos,
             functions=self.nodes,
             sizes=sizes,
             starts=starts,

@@ -21,6 +21,8 @@ import time
 import typing as _t
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from ..api.session import Session
 from ..errors import ExperimentError
 from ..profiling.profiler import profile_workflow
@@ -35,7 +37,7 @@ from ..traces.workload import (
     iter_requests,
 )
 from ..workflow.catalog import Workflow
-from ..workflow.request import WorkflowRequest
+from ..workflow.request import RequestBlock, WorkflowRequest
 from .backends import ExecutionBackend, resolve_backend
 from .cache import (
     CellCache,
@@ -83,7 +85,7 @@ def _profiles_for(
 
 def merge_tenant_streams(
     streams: _t.Sequence[_t.Sequence[WorkflowRequest]],
-) -> list[WorkflowRequest]:
+) -> RequestBlock:
     """Interleave per-tenant request streams into one arrival-ordered stream.
 
     The sort key is ``(arrival_ms, tenant index, request id)`` — total and
@@ -95,18 +97,17 @@ def merge_tenant_streams(
 
 def _arrival_merge(
     streams: _t.Sequence[_t.Sequence[WorkflowRequest]],
-) -> tuple[list[WorkflowRequest], list[int]]:
-    """:func:`merge_tenant_streams`, plus each request's stream index."""
-    tagged = [
-        (req.arrival_ms, k, req.request_id, req)
-        for k, stream in enumerate(streams)
-        for req in stream
-    ]
-    tagged.sort(key=lambda item: item[:3])
-    return (
-        [replace(req, request_id=i) for i, (*_, req) in enumerate(tagged)],
-        [k for _, k, _, _ in tagged],
-    )
+) -> tuple[RequestBlock, list[int]]:
+    """:func:`merge_tenant_streams`, plus each request's stream index:
+    one stable ``lexsort`` over the streams' columns."""
+    blocks = [RequestBlock.of(stream) for stream in streams]
+    source = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+    order = np.lexsort((
+        np.concatenate([b.request_ids for b in blocks]),
+        source,
+        np.concatenate([b.arrivals for b in blocks]),
+    ))
+    return RequestBlock.merged(blocks, order), source[order].tolist()
 
 
 def _tenant_plan(
@@ -136,7 +137,7 @@ def _tenant_plan(
 
 def scenario_requests(
     workflow: Workflow, scenario: Scenario, slo_ms: float
-) -> list[WorkflowRequest]:
+) -> RequestBlock:
     """The scenario's request stream: per-tenant streams, arrival-merged."""
     config, seeds = _tenant_plan(scenario, slo_ms)
     streams = [generate_requests(workflow, config, seed=s) for s in seeds]

@@ -142,9 +142,10 @@ class ServingConfig:
                     f"workset_schedule indices must ascend: "
                     f"{self.workset_schedule}"
                 )
-            if scale <= 0:
+            if not 0.0 < scale < math.inf:
                 raise ExperimentError(
-                    f"workset scale must be > 0, got {scale}"
+                    f"workset_schedule (--drift) scale must be finite and "
+                    f"> 0, got {scale}"
                 )
             last = after_n
         if self.faults is not None and self.faults.kind == "region-failover":

@@ -17,6 +17,7 @@ top of its Zipf popularity skew. This module models the rate side:
 
 from __future__ import annotations
 
+import math
 import typing as _t
 from dataclasses import dataclass, field
 
@@ -68,12 +69,15 @@ class DiurnalRate:
     def __post_init__(self) -> None:
         if self.kind not in ("sinusoid", "piecewise"):
             raise TraceError(f"unknown rate-curve kind {self.kind!r}")
-        if self.period_s <= 0:
-            raise TraceError(f"period must be > 0, got {self.period_s}")
+        # A NaN or infinite parameter would hang the thinning loop.
+        if not 0 < self.period_s < math.inf:
+            raise TraceError(f"period_s must be finite and > 0, got {self.period_s}")
+        if not math.isfinite(self.phase):
+            raise TraceError(f"phase must be finite, got {self.phase}")
         if self.kind == "sinusoid":
-            if self.base_rate_per_s <= 0:
+            if not 0 < self.base_rate_per_s < math.inf:
                 raise TraceError(
-                    f"base rate must be > 0, got {self.base_rate_per_s}"
+                    f"base rate must be finite and > 0, got {self.base_rate_per_s}"
                 )
             if not 0.0 <= self.amplitude <= 1.0:
                 # Amplitude is relative: 1.0 dips to zero at the trough.
@@ -85,6 +89,8 @@ class DiurnalRate:
                 raise TraceError("piecewise curve requires >= 1 breakpoint")
             times = [t for t, _ in self.points]
             rates = [r for _, r in self.points]
+            if not all(map(math.isfinite, times + rates)):
+                raise TraceError(f"breakpoints must be finite: {self.points}")
             if times[0] != 0.0:
                 raise TraceError(
                     f"first breakpoint must start at t=0, got {times[0]}"
@@ -198,9 +204,9 @@ class FlashCrowdRate:
     window_fraction: float
 
     def __post_init__(self) -> None:
-        if self.multiplier <= 1.0:
+        if not 1.0 < self.multiplier < math.inf:
             raise TraceError(
-                f"storm multiplier must be > 1, got {self.multiplier}"
+                f"storm multiplier must be finite and > 1, got {self.multiplier}"
             )
         if not 0.0 < self.window_fraction <= 1.0:
             raise TraceError(
@@ -260,6 +266,8 @@ def nhpp_arrivals(
     if n <= 0:
         raise TraceError(f"n must be > 0, got {n}")
     peak = curve.peak_rate
+    if not 0.0 < peak < math.inf:  # finite parameters can still overflow it
+        raise TraceError(f"peak rate must be finite and > 0, got {peak}")
     out = np.empty(n, dtype=np.float64)
     filled = 0
     t_ms = 0.0

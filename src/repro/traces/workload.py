@@ -7,16 +7,23 @@ evaluation likewise serves the same 1000 requests to every system.
 
 from __future__ import annotations
 
+import itertools
+import math
 import typing as _t
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import TraceError
+from ..functions.model import InvocationDynamics
 from ..rng import RngFactory
 from ..types import Milliseconds
 from ..workflow.catalog import Workflow
-from ..workflow.request import WorkflowRequest
+from ..workflow.request import (
+    DEFAULT_STREAM_CHUNK,
+    RequestBlock,
+    WorkflowRequest,
+)
 from .arrivals import (
     azure_like_arrivals,
     burst_arrivals,
@@ -37,10 +44,17 @@ __all__ = [
 
 InterferenceDraw = _t.Callable[[np.random.Generator], float]
 
+#: The numeric fields each arrival process consumes (all must be finite).
+_DIURNAL = ("rate_per_s", "amplitude", "period_s", "phase")
+_KIND_FIELDS = {
+    "constant": ("interval_ms",), "poisson": ("rate_per_s",),
+    "burst": ("rate_per_s", "burst_rate_per_s", "burst_fraction"),
+    "azure": ("rate_per_s", "sigma"), "diurnal": _DIURNAL, "replay": (),
+    "storm": _DIURNAL + ("storm_multiplier", "storm_fraction"),
+}
+
 #: Arrival processes an :class:`ArrivalSpec` can name.
-ARRIVAL_KINDS = (
-    "constant", "poisson", "burst", "azure", "diurnal", "replay", "storm",
-)
+ARRIVAL_KINDS = tuple(_KIND_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -99,7 +113,13 @@ class ArrivalSpec:
         # Shape parameters are validated here — not first at draw time — so
         # a bad spec fails when the matrix is built, not mid-sweep inside a
         # pool worker after the profiling campaign already ran. Only the
-        # fields the kind actually consumes are checked.
+        # fields the kind actually consumes are checked. A NaN or infinite
+        # one would hang the thinning loop or silently yield NaN or
+        # all-zero arrivals.
+        for name in _KIND_FIELDS[self.kind]:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise TraceError(f"arrival {name} must be finite, got {value}")
         if self.kind == "constant":
             if self.interval_ms < 0:
                 raise TraceError(
@@ -251,10 +271,14 @@ class WorkloadConfig:
         concurrency: int | None = None,
         arrival: ArrivalSpec | None = None,
     ) -> None:
+        if not float(n_requests).is_integer():
+            raise TraceError(f"n_requests must be an integer, got {n_requests}")
         if n_requests <= 0:
             raise TraceError(f"n_requests must be > 0, got {n_requests}")
-        if workset_scale <= 0:
-            raise TraceError(f"workset_scale must be > 0, got {workset_scale}")
+        if not 0.0 < workset_scale < math.inf:
+            raise TraceError(
+                f"workset_scale must be finite and > 0, got {workset_scale}"
+            )
         if arrival is not None and arrival_rate_per_s is not None:
             raise TraceError(
                 "pass either an ArrivalSpec or the legacy arrival_rate_per_s, "
@@ -284,54 +308,54 @@ def iter_requests(
 ) -> _t.Iterator[WorkflowRequest]:
     """Yield the deterministic request stream one request at a time.
 
-    Identical draws (and thus identical requests) to
-    :func:`generate_requests` — the arrivals array is still drawn in one
-    batch (O(n) floats, the cheap part) but the per-request dynamics and
-    request objects are produced lazily, so streaming consumers (the
-    serving loop, streaming sweep cells) never hold the full stream.
+    Dynamics are drawn :data:`DEFAULT_STREAM_CHUNK` requests at a time
+    per stage (``sample_dynamics(..., size=m)``), with the bits of one
+    scalar draw per request per stage; arrivals in one batch (O(n) floats,
+    the cheap part). Streaming consumers never hold the full stream.
     """
     cfg = config or WorkloadConfig()
     factory = RngFactory(seed).fork("workload", workflow.name)
-    arrival_rng = factory.stream("arrivals")
     arrivals = cfg.arrival_spec().timestamps(
-        cfg.n_requests, arrival_rng, workflow=workflow.name
-    )
+        cfg.n_requests, factory.stream("arrivals"), workflow=workflow.name
+    ).tolist()
     slo = float(cfg.slo_ms if cfg.slo_ms is not None else workflow.slo_ms)
     concurrency = int(
         cfg.concurrency if cfg.concurrency is not None else workflow.max_concurrency
     )
-
     # All DAG nodes get dynamics (branching workflows execute
     # off-critical-path functions too).
-    stage_rngs = {
-        name: factory.stream("dynamics", name) for name in workflow.dag.nodes
-    }
+    nodes = tuple(workflow.dag.nodes)
+    stages = [
+        (workflow.model(name), factory.stream("dynamics", name))
+        for name in nodes
+    ]
     interference_rng = factory.stream("interference")
 
-    for i in range(cfg.n_requests):
-        dynamics = {}
-        for name in workflow.dag.nodes:
-            model = workflow.model(name)
-            q = (
-                cfg.interference(interference_rng)
-                if cfg.interference is not None
-                else 1.0
-            )
-            dyn = model.sample_dynamics(stage_rngs[name], interference=q)
+    for lo in range(0, cfg.n_requests, DEFAULT_STREAM_CHUNK):
+        m = min(DEFAULT_STREAM_CHUNK, cfg.n_requests - lo)
+        # Per stage, the requests' interference: 1.0 without a callback,
+        # else the callback on its own stream, per request per stage.
+        interference: _t.Any = itertools.repeat(itertools.repeat(1.0))
+        if cfg.interference is not None:
+            calls = range(m * len(nodes))
+            q = [float(cfg.interference(interference_rng)) for _ in calls]
+            interference = [q[j :: len(nodes)] for j in range(len(nodes))]
+        per_stage = []
+        for (model, rng), qs in zip(stages, interference):
+            worksets, noise_zs, _ = model.sample_dynamics(rng, size=m)
             if cfg.workset_scale != 1.0:
-                dyn = type(dyn)(
-                    workset=dyn.workset * cfg.workset_scale,
-                    noise_z=dyn.noise_z,
-                    interference=dyn.interference,
-                )
-            dynamics[name] = dyn
-        yield WorkflowRequest(
-            request_id=i,
-            arrival_ms=float(arrivals[i]),
-            slo_ms=slo,
-            stage_dynamics=dynamics,
-            concurrency=concurrency,
-            workflow=workflow.name,
+                worksets = worksets * cfg.workset_scale
+            per_stage.append(map(
+                InvocationDynamics, worksets.tolist(), noise_zs.tolist(), qs
+            ))
+        yield from map(
+            WorkflowRequest,
+            range(lo, lo + m),
+            arrivals[lo : lo + m],
+            itertools.repeat(slo),
+            [dict(zip(nodes, row)) for row in zip(*per_stage)],
+            itertools.repeat(concurrency),
+            itertools.repeat(workflow.name),
         )
 
 
@@ -339,9 +363,10 @@ def generate_requests(
     workflow: Workflow,
     config: WorkloadConfig | None = None,
     seed: int = 0,
-) -> list[WorkflowRequest]:
-    """Build a deterministic request stream for ``workflow``."""
-    return list(iter_requests(workflow, config, seed))
+) -> RequestBlock:
+    """Build a deterministic request stream for ``workflow``: the rows of
+    :func:`iter_requests` with their columns."""
+    return RequestBlock.of(iter_requests(workflow, config, seed))
 
 
 def shifted_workload(
@@ -349,7 +374,7 @@ def shifted_workload(
     n_requests: int,
     workset_scale: float,
     seed: int = 0,
-) -> list[WorkflowRequest]:
+) -> RequestBlock:
     """A workload whose inputs drifted from the profiled distribution.
 
     Used to provoke hint-table misses and exercise the supervisor's

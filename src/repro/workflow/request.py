@@ -1,14 +1,26 @@
-"""Per-request execution state and outcome records."""
+"""Per-request execution state, request streams as columns plus rows
+(:class:`RequestBlock`), and outcome records."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+import typing as _t
+from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 from ..errors import WorkflowError
 from ..functions.model import InvocationDynamics
 from ..types import Millicores, Milliseconds
 
-__all__ = ["StageRecord", "WorkflowRequest", "RequestOutcome"]
+__all__ = [
+    "StageRecord", "WorkflowRequest", "RequestBlock", "RequestOutcome",
+    "DEFAULT_STREAM_CHUNK",
+]
+
+#: Requests per chunk where a stream is drawn or served a chunk at a time:
+#: amortises vector dispatch, keeps memory O(1) in the stream length.
+DEFAULT_STREAM_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -72,6 +84,126 @@ class WorkflowRequest:
             raise WorkflowError(
                 f"request {self.request_id} has no dynamics for {function!r}"
             )
+
+
+#: A row's fields after ``request_id``, in declaration order.
+_ROW_VALUES = operator.attrgetter(*(f.name for f in fields(WorkflowRequest)[1:]))
+
+_DYNAMICS = [operator.attrgetter(a) for a in ("workset", "noise_z", "interference")]
+
+#: (block column, row attribute, dtype) of the per-request columns.
+_COLUMNS = (
+    ("request_ids", "request_id", np.int64),
+    ("arrivals", "arrival_ms", np.float64),
+    ("slos", "slo_ms", np.float64),
+    ("concurrencies", "concurrency", np.int64),
+)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+class RequestBlock(_t.Sequence[WorkflowRequest]):
+    """An immutable request stream: its columns next to its rows.
+
+    Batched consumers (the analytic executors, the tenant and fleet
+    merges) read the read-only columns ``request_ids``, ``arrivals``,
+    ``slos``, ``concurrencies`` and, per node, :meth:`dynamics`; policy
+    hooks, the DES cluster and serving read the (shared) rows. :meth:`of`
+    gathers a row sequence's columns once; :meth:`merged` and :meth:`take`
+    renumber rows of other blocks, built only when read. Slices, ``==``
+    and ``+`` work on the rows, as with lists.
+    """
+
+    def __init__(
+        self,
+        rows: _t.Iterable[WorkflowRequest] | None,
+        parts: tuple["RequestBlock", ...] = (),
+        picks: np.ndarray | None = None,
+    ) -> None:
+        # Rows, or positions ``picks`` into the concatenated ``parts``.
+        self._rows = None if rows is None else list(rows)
+        self._parts, self._picks = parts, picks
+        self._dynamics: dict[str, tuple[np.ndarray, ...]] = {}
+        for name, attr, dtype in _COLUMNS:
+            if self._rows is not None:
+                values = map(operator.attrgetter(attr), self._rows)
+                column = np.fromiter(values, dtype, len(self._rows))
+            elif name == "request_ids":
+                column = np.arange(picks.size, dtype=dtype)
+            else:
+                column = self._pick([getattr(p, name) for p in parts])
+            setattr(self, name, _frozen(column))
+
+    @classmethod
+    def of(cls, requests: _t.Iterable[WorkflowRequest]) -> "RequestBlock":
+        """A block as-is; any other rows kept, their columns gathered once."""
+        return requests if isinstance(requests, RequestBlock) else cls(requests)
+
+    @classmethod
+    def merged(
+        cls, blocks: _t.Sequence["RequestBlock"], order: _t.Sequence[int]
+    ) -> "RequestBlock":
+        """Rows of the concatenated ``blocks`` at positions ``order``,
+        renumbered ``0..len(order)-1``."""
+        return cls(None, tuple(blocks), np.asarray(order, np.int64))
+
+    def take(self, indices: _t.Sequence[int]) -> "RequestBlock":
+        """The rows at ``indices``, renumbered from 0."""
+        return RequestBlock.merged((self,), indices)
+
+    def _pick(self, columns: list[np.ndarray]) -> np.ndarray:
+        flat = columns[0] if len(columns) == 1 else np.concatenate(columns)
+        return flat[self._picks]
+
+    def dynamics(self, node: str) -> tuple[np.ndarray, ...]:
+        """``node``'s (worksets, noise_zs, interferences) columns; raises
+        :class:`WorkflowError` naming a request without dynamics for it."""
+        if node not in self._dynamics:
+            if self._rows is None:
+                parts = zip(*(p.dynamics(node) for p in self._parts))
+                columns = [self._pick(list(c)) for c in parts]
+            else:
+                dyns = [r.dynamics_for(node) for r in self._rows]
+                n = len(dyns)
+                columns = [np.fromiter(map(g, dyns), np.float64, n) for g in _DYNAMICS]
+            self._dynamics[node] = tuple(map(_frozen, columns))
+        return self._dynamics[node]
+
+    def _row_list(self) -> list[WorkflowRequest]:
+        if self._rows is None:
+            source = [row for part in self._parts for row in part]
+            picked = map(source.__getitem__, self._picks.tolist())
+            columns = zip(*map(_ROW_VALUES, picked))
+            self._rows = list(map(WorkflowRequest, range(len(self)), *columns))
+        return self._rows
+
+    def __len__(self) -> int:
+        return int(self.arrivals.size)
+
+    def __iter__(self) -> _t.Iterator[WorkflowRequest]:
+        return iter(self._row_list())
+
+    def __getitem__(self, index):
+        # A slice is a list of its rows, ids kept, as a list slice is.
+        return self._row_list()[index]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (RequestBlock, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __add__(self, other: object) -> list[WorkflowRequest]:
+        if isinstance(other, (RequestBlock, list)):
+            return list(self) + list(other)
+        return NotImplemented
+
+    def __radd__(self, other: object) -> list[WorkflowRequest]:
+        if isinstance(other, list):
+            return other + list(self)
+        return NotImplemented
 
 
 @dataclass

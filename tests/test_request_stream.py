@@ -1,0 +1,417 @@
+"""Columnar request streams: exact chunked draws and :class:`RequestBlock`.
+
+The chunked generator must reproduce the per-request loop it replaced bit
+for bit (kept here as ``reference_requests``), each workset distribution's
+batched draw must equal ``n`` scalar ``sample_dynamics`` calls including
+the generator state, and the column-based tenant merge and fleet split
+must equal the sort-plus-``replace`` versions they replaced.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import FunctionModelError, WorkflowError
+from repro.fleet import fleet_requests
+from repro.functions.model import FunctionModel, InvocationDynamics, check_dynamics
+from repro.functions.worksets import (
+    FixedWorkset,
+    LogUniformWorkset,
+    LognormalWorkset,
+    UniformIntWorkset,
+    WorksetDistribution,
+)
+from repro.policies.early_binding import WorstCasePolicy
+from repro.rng import RngFactory
+from repro.runtime.executor import AnalyticExecutor
+from repro.scenarios import ScenarioMatrix, SweepRunner, parse_fleet
+from repro.scenarios.registry import scenario_workflow
+from repro.scenarios.runner import _arrival_merge, merge_tenant_streams
+from repro.traces.workload import (
+    ArrivalSpec,
+    WorkloadConfig,
+    generate_requests,
+    iter_requests,
+)
+from repro.workflow.catalog import Workflow, intelligent_assistant, video_analytics
+from repro.workflow.chain import chain_dag
+from repro.workflow.request import (
+    DEFAULT_STREAM_CHUNK,
+    RequestBlock,
+    WorkflowRequest,
+)
+
+from tests.conftest import make_function, small_limits
+
+
+@dataclasses.dataclass(frozen=True)
+class TriangularWorkset(WorksetDistribution):
+    """A third-party distribution: only the abstract interface, so its
+    batched draws go through the base class's scalar loop."""
+
+    @property
+    def reference(self) -> float:
+        return 2.0
+
+    def sample(self, rng, size=None):
+        draw = rng.triangular(1.0, 2.0, 4.0, size=size)
+        return float(draw) if size is None else draw
+
+    def support(self) -> tuple[float, float]:
+        return (1.0, 4.0)
+
+
+def custom_workflow() -> Workflow:
+    models = [
+        make_function(f"T{i}", gamma=0.3, workset=TriangularWorkset())
+        for i in range(2)
+    ]
+    return Workflow(
+        name="triangular",
+        dag=chain_dag([m.name for m in models]),
+        functions={m.name: m for m in models},
+        slo_ms=2000.0,
+        limits=small_limits(),
+    )
+
+
+WORKFLOWS = {
+    "IA": intelligent_assistant,
+    "VA": video_analytics,
+    "media": lambda: scenario_workflow("media"),
+    "custom": custom_workflow,
+}
+
+
+def reference_requests(
+    workflow: Workflow, config: WorkloadConfig, seed: int
+) -> list[WorkflowRequest]:
+    """The per-request, per-stage loop the chunked generator replaced."""
+    factory = RngFactory(seed).fork("workload", workflow.name)
+    arrivals = config.arrival_spec().timestamps(
+        config.n_requests, factory.stream("arrivals"), workflow=workflow.name
+    )
+    slo = float(config.slo_ms if config.slo_ms is not None else workflow.slo_ms)
+    concurrency = int(
+        config.concurrency if config.concurrency is not None
+        else workflow.max_concurrency
+    )
+    stage_rngs = {
+        name: factory.stream("dynamics", name) for name in workflow.dag.nodes
+    }
+    interference_rng = factory.stream("interference")
+    out = []
+    for i in range(config.n_requests):
+        dynamics = {}
+        for name in workflow.dag.nodes:
+            q = (
+                config.interference(interference_rng)
+                if config.interference is not None else 1.0
+            )
+            dyn = workflow.model(name).sample_dynamics(
+                stage_rngs[name], interference=q
+            )
+            if config.workset_scale != 1.0:
+                dyn = InvocationDynamics(
+                    dyn.workset * config.workset_scale,
+                    dyn.noise_z,
+                    dyn.interference,
+                )
+            dynamics[name] = dyn
+        out.append(WorkflowRequest(
+            request_id=i,
+            arrival_ms=float(arrivals[i]),
+            slo_ms=slo,
+            stage_dynamics=dynamics,
+            concurrency=concurrency,
+            workflow=workflow.name,
+        ))
+    return out
+
+
+def _same_bits(got, want) -> None:
+    # Pickles compare every field's type and float bits, dict order too.
+    assert len(got) == len(want)
+    assert pickle.dumps(list(got)) == pickle.dumps(list(want))
+
+
+def _slowdown(rng: np.random.Generator) -> float:
+    return 1.0 + float(rng.exponential(0.25))
+
+
+class TestStreamMatchesReferenceLoop:
+    @pytest.mark.parametrize("name", sorted(WORKFLOWS))
+    @pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 5000])
+    def test_default_config(self, name, n):
+        workflow = WORKFLOWS[name]()
+        config = WorkloadConfig(n_requests=n)
+        want = reference_requests(workflow, config, seed=3)
+        _same_bits(generate_requests(workflow, config, seed=3), want)
+        _same_bits(list(iter_requests(workflow, config, seed=3)), want)
+
+    @pytest.mark.parametrize("name", sorted(WORKFLOWS))
+    @pytest.mark.parametrize(
+        "config",
+        [
+            WorkloadConfig(n_requests=2049, workset_scale=2.5),
+            WorkloadConfig(n_requests=2049, interference=_slowdown),
+            WorkloadConfig(
+                n_requests=2049,
+                arrival=ArrivalSpec(kind="azure", rate_per_s=8.0),
+            ),
+            WorkloadConfig(
+                n_requests=2049,
+                arrival=ArrivalSpec(kind="constant", interval_ms=5.0),
+                slo_ms=1234.5,
+            ),
+        ],
+        ids=["workset-scale", "interference", "azure", "constant"],
+    )
+    def test_config_variants(self, name, config):
+        workflow = WORKFLOWS[name]()
+        _same_bits(
+            generate_requests(workflow, config, seed=7),
+            reference_requests(workflow, config, seed=7),
+        )
+
+    def test_generate_requests_returns_a_block(self):
+        stream = generate_requests(
+            intelligent_assistant(), WorkloadConfig(n_requests=10), seed=1
+        )
+        assert isinstance(stream, RequestBlock)
+        assert stream.arrivals.tolist() == [r.arrival_ms for r in stream]
+
+
+DISTRIBUTIONS = [
+    FixedWorkset(1.5),
+    UniformIntWorkset(1, 15),
+    LogUniformWorkset(35.0, 641.0),
+    LogUniformWorkset(5.0, 120.0),
+    LognormalWorkset(1.0, 0.14, 2.0),
+    LognormalWorkset(3.0, 0.9),
+    TriangularWorkset(),
+]
+
+
+class TestBatchedDraws:
+    @pytest.mark.parametrize("dist", DISTRIBUTIONS, ids=repr)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=700),
+        split=st.integers(min_value=1, max_value=700),
+    )
+    def test_equals_scalar_calls(self, dist, seed, n, split):
+        model = FunctionModel("f", 10.0, 100.0, workset=dist)
+        scalar_rng = np.random.default_rng(seed)
+        rows = [model.sample_dynamics(scalar_rng) for _ in range(n)]
+        batch_rng = np.random.default_rng(seed)
+        chunks = [
+            model.sample_dynamics(batch_rng, size=min(split, n - lo))
+            for lo in range(0, n, split)
+        ]
+        worksets, noise_zs, interferences = map(np.concatenate, zip(*chunks))
+        assert worksets.tobytes() == np.array([r.workset for r in rows]).tobytes()
+        assert noise_zs.tobytes() == np.array([r.noise_z for r in rows]).tobytes()
+        assert (interferences == 1.0).all()
+        assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+    def test_interference_broadcast_and_checked(self):
+        model = FunctionModel("f", 10.0, 100.0)
+        rng = np.random.default_rng(0)
+        _, _, q = model.sample_dynamics(rng, interference=np.array([1.0, 2.5]), size=2)
+        assert q.tolist() == [1.0, 2.5]
+        with pytest.raises(FunctionModelError, match="interference must be >= 1"):
+            model.sample_dynamics(rng, interference=0.5, size=3)
+
+    def test_one_sample_dynamics_call_per_stage_per_chunk(self, monkeypatch):
+        calls = []
+        original = FunctionModel.sample_dynamics
+
+        def counted(self, *args, **kwargs):
+            calls.append(kwargs.get("size"))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(FunctionModel, "sample_dynamics", counted)
+        workflow = intelligent_assistant()
+        n = 2 * DEFAULT_STREAM_CHUNK + 5
+        stream = generate_requests(workflow, WorkloadConfig(n_requests=n), seed=1)
+        assert len(stream) == n
+        chunks = [DEFAULT_STREAM_CHUNK, DEFAULT_STREAM_CHUNK, 5]
+        assert sorted(calls) == sorted(chunks * len(workflow.dag.nodes))
+
+
+def _block(n: int = 12, seed: int = 4) -> RequestBlock:
+    return generate_requests(
+        intelligent_assistant(), WorkloadConfig(n_requests=n), seed=seed
+    )
+
+
+class TestRequestBlock:
+    def test_rows_and_columns_round_trip(self):
+        rows = list(_block())
+        block = RequestBlock.of(rows)
+        assert RequestBlock.of(block) is block
+        assert list(block) == rows and all(a is b for a, b in zip(block, rows))
+        assert block.request_ids.tolist() == [r.request_id for r in rows]
+        assert block.arrivals.tolist() == [r.arrival_ms for r in rows]
+        assert block.slos.tolist() == [r.slo_ms for r in rows]
+        assert block.concurrencies.tolist() == [r.concurrency for r in rows]
+        for node in ("OD", "QA", "TS"):
+            worksets, noise_zs, interferences = block.dynamics(node)
+            dyns = [r.dynamics_for(node) for r in rows]
+            assert worksets.tolist() == [d.workset for d in dyns]
+            assert noise_zs.tolist() == [d.noise_z for d in dyns]
+            assert interferences.tolist() == [d.interference for d in dyns]
+
+    def test_take_renumbers_rows_and_columns(self):
+        block = _block()
+        picks = [7, 2, 9, 2]
+        sub = block.take(picks)
+        assert sub.request_ids.tolist() == [0, 1, 2, 3]
+        assert sub.arrivals.tolist() == block.arrivals[picks].tolist()
+        for got, want in zip(sub.dynamics("QA"), block.dynamics("QA")):
+            assert got.tolist() == want[picks].tolist()
+        assert list(sub) == [
+            dataclasses.replace(block[i], request_id=j)
+            for j, i in enumerate(picks)
+        ]
+        assert sub[0].stage_dynamics is block[7].stage_dynamics
+        assert len(block.take([])) == 0
+
+    def test_slices_are_row_lists_keeping_ids(self):
+        block = _block()
+        part = block[3:7]
+        assert part == list(block)[3:7]
+        assert [r.request_id for r in part] == [3, 4, 5, 6]
+        assert block[-1].request_id == len(block) - 1
+
+    def test_equality_and_concatenation_with_lists(self):
+        block, rows = _block(), list(_block())
+        assert block == rows and rows == block and block == _block()
+        assert block != _block(seed=5) and block != tuple(rows)
+        assert block + rows == rows + rows
+        assert rows[:2] + block == rows[:2] + rows
+        assert block + block == rows + rows
+
+    def test_is_immutable(self):
+        block = _block()
+        with pytest.raises(TypeError):
+            block[0] = block[1]
+        with pytest.raises(ValueError):
+            block.arrivals[0] = 1.0
+        with pytest.raises(ValueError):
+            block.dynamics("OD")[0][0] = 1.0
+        assert not hasattr(block, "append")
+        with pytest.raises(TypeError):
+            hash(block)
+
+    def test_missing_stage_names_the_request(self):
+        rows = list(_block(3))
+        rows[1] = dataclasses.replace(
+            rows[1], stage_dynamics={"OD": rows[1].dynamics_for("OD")}
+        )
+        with pytest.raises(WorkflowError, match="request 1 has no dynamics for 'QA'"):
+            RequestBlock.of(rows).dynamics("QA")
+        workflow = intelligent_assistant()
+        with pytest.raises(WorkflowError, match="request 1"):
+            AnalyticExecutor(workflow).run(WorstCasePolicy(workflow), rows)
+
+
+def reference_merge(streams):
+    """The merge the column lexsort replaced: a tuple sort plus a
+    ``replace`` per request."""
+    tagged = [
+        (req.arrival_ms, k, req.request_id, req)
+        for k, stream in enumerate(streams)
+        for req in stream
+    ]
+    tagged.sort(key=lambda item: item[:3])
+    return (
+        [dataclasses.replace(req, request_id=i) for i, (*_, req) in enumerate(tagged)],
+        [k for _, k, _, _ in tagged],
+    )
+
+
+class TestMerges:
+    @pytest.mark.parametrize(
+        "arrival",
+        [
+            ArrivalSpec(kind="constant"),
+            ArrivalSpec(kind="constant", interval_ms=40.0),
+            ArrivalSpec(kind="poisson", rate_per_s=20.0),
+        ],
+        ids=["tied-at-zero", "tied-grid", "poisson"],
+    )
+    def test_merge_equals_sort_plus_replace(self, arrival):
+        workflow = intelligent_assistant()
+        streams = [
+            generate_requests(
+                workflow, WorkloadConfig(n_requests=n, arrival=arrival), seed=s
+            )
+            for n, s in ((30, 1), (45, 2), (12, 3))
+        ]
+        merged, sources = _arrival_merge(streams)
+        want, want_sources = reference_merge(streams)
+        _same_bits(merged, want)
+        assert sources == want_sources
+        assert list(merge_tenant_streams(streams)) == want
+        # Hand-built row lists merge the same way.
+        _same_bits(_arrival_merge([list(s) for s in streams])[0], want)
+
+    def test_fleet_split_equals_replace_substreams(self):
+        scenario = ScenarioMatrix(
+            workflows=("IA",),
+            arrivals=(ArrivalSpec(kind="poisson", rate_per_s=8.0),),
+            fleets=(parse_fleet("regions=3,routing=spillover,capacity=2"),),
+            tenant_counts=(2,),
+            n_requests=40,
+            samples=200,
+            seed=5,
+        ).expand()[0]
+        workflow = scenario_workflow(scenario.workflow)
+        requests, homes = fleet_requests(workflow, scenario, workflow.slo_ms)
+        rows = list(requests)
+        for region in range(3):
+            indices = [i for i, h in enumerate(homes) if h == region]
+            want = [
+                dataclasses.replace(rows[i], request_id=j)
+                for j, i in enumerate(indices)
+            ]
+            _same_bits(requests.take(indices), want)
+
+    def test_fleet_cell_serves_every_policy_the_same_substreams(self):
+        def matrix(policies):
+            return ScenarioMatrix(
+                workflows=("IA",),
+                arrivals=(ArrivalSpec(kind="poisson", rate_per_s=8.0),),
+                fleets=(parse_fleet("regions=3,routing=spillover,capacity=2"),),
+                policies=policies,
+                n_requests=40,
+                samples=200,
+                seed=5,
+            )
+
+        both = SweepRunner(max_workers=1).run(matrix(("GrandSLAM", "Janus")))
+        alone = SweepRunner(max_workers=1).run(matrix(("Janus",)))
+        (cell,), (solo,) = both.results, alone.results
+        assert set(cell.table) == {"GrandSLAM", "Janus"}
+        assert cell.extras["Janus"] == solo.extras["Janus"]
+        for key in ("mean_allocated_millicores", "violation_rate"):
+            assert cell.table["Janus"][key] == solo.table["Janus"][key]
+
+
+class TestChecks:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 0.0])
+    def test_rows_and_columns_reject_the_same_worksets(self, bad):
+        with pytest.raises(FunctionModelError, match="workset must be finite and > 0"):
+            InvocationDynamics(workset=bad, noise_z=0.0)
+        with pytest.raises(FunctionModelError, match="workset must be finite and > 0"):
+            check_dynamics(np.array([1.0, bad]), np.ones(2))
+        check_dynamics(np.array([1.0, 2.0]), np.ones(2))
