@@ -32,6 +32,7 @@ from ..errors import ClusterError
 from ..rng import make_rng
 from ..sim.engine import Simulator
 from ..sim.events import Event
+from ..traces.diurnal import MAX_STORM_MULTIPLIER
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from .pool import PoolManager
@@ -139,10 +140,10 @@ class FaultSpec:
             if self.at_ms < 0:
                 raise ClusterError(f"crash time must be >= 0, got {self.at_ms}")
         elif self.kind == "storm":
-            if not 1.0 < self.multiplier < math.inf:
+            if not 1.0 < self.multiplier <= MAX_STORM_MULTIPLIER:
                 raise ClusterError(
-                    f"storm multiplier must be finite and > 1, got "
-                    f"{self.multiplier}"
+                    f"storm multiplier must be finite and in "
+                    f"(1, {MAX_STORM_MULTIPLIER:g}], got {self.multiplier}"
                 )
             if not 0.0 < self.window_fraction <= 1.0:
                 raise ClusterError(

@@ -3,7 +3,8 @@
 Public surface of the fleet subsystem — the declarative
 :class:`FleetConfig` spec scenario cells carry, the
 :class:`RegionTopology` RTT table, the :class:`RoutingPolicy` protocol
-with its registry, and the cell evaluator the sweep runner dispatches to.
+with its registry, the cell evaluator the sweep runner dispatches to,
+and the merged per-region arrival stream the serving loop reads.
 """
 
 from .routing import (
@@ -15,7 +16,12 @@ from .routing import (
     register_routing,
     route_requests,
 )
-from .runner import fleet_requests, region_arrival, run_fleet_scenario
+from .runner import (
+    fleet_arrival_source,
+    fleet_requests,
+    region_arrival,
+    run_fleet_scenario,
+)
 from .topology import FleetConfig, RegionTopology, parse_fleet
 
 __all__ = [
@@ -29,6 +35,7 @@ __all__ = [
     "StreamRouter",
     "register_routing",
     "route_requests",
+    "fleet_arrival_source",
     "fleet_requests",
     "region_arrival",
     "run_fleet_scenario",

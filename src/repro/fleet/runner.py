@@ -30,12 +30,15 @@ backends, byte-identical on a warm cache replay.
 from __future__ import annotations
 
 import dataclasses
+import heapq
+import itertools
 import math
 import typing as _t
 
 import numpy as np
 
 from ..cluster.faults import compile_region_failover
+from ..errors import TraceError
 from ..rng import child_seed
 from ..runtime.results import OutcomeColumns, RunResult
 from ..workflow.request import RequestBlock
@@ -47,9 +50,15 @@ if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from ..policies.base import SizingPolicy
     from ..scenarios.matrix import Scenario
     from ..scenarios.report import ScenarioResult
+    from ..traces.workload import ArrivalSpec
     from ..workflow.catalog import Workflow
 
-__all__ = ["run_fleet_scenario", "fleet_requests", "region_arrival"]
+__all__ = [
+    "run_fleet_scenario",
+    "fleet_arrival_source",
+    "fleet_requests",
+    "region_arrival",
+]
 
 #: Aggregated platform extras that are per-request rates/means — combined
 #: across regions as a served-request-weighted mean. Everything else is a
@@ -81,6 +90,31 @@ def region_arrival(arrival, region_index: int, n_regions: int):
         return arrival
     offset = 2.0 * math.pi * region_index / n_regions
     return dataclasses.replace(arrival, phase=arrival.phase + offset)
+
+
+def fleet_arrival_source(
+    specs: "_t.Sequence[ArrivalSpec]",
+    rngs: "_t.Sequence[np.random.Generator]",
+    workflow: str | None = None,
+) -> _t.Iterator[tuple[float, int]]:
+    """Merged ``(arrival_ms, home_region)`` stream over per-region streams.
+
+    One unbounded :meth:`~repro.traces.workload.ArrivalSpec.stream` per
+    region (``specs[r]`` drawn with ``rngs[r]``), lazily heap-merged in
+    timestamp order with the region index as the deterministic
+    tie-break — the serving counterpart of the sweep's merged fleet
+    stream. Each region's stream is untouched by how far the merge is
+    drained, so a fixed seed replays it region by region.
+    """
+    if len(specs) != len(rngs):
+        raise TraceError(
+            f"fleet source wants one rng per region, got {len(specs)} "
+            f"spec(s) and {len(rngs)} rng(s)"
+        )
+    return heapq.merge(*(
+        zip(spec.stream(rng, workflow), itertools.repeat(region))
+        for region, (spec, rng) in enumerate(zip(specs, rngs))
+    ))
 
 
 def fleet_requests(

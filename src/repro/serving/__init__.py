@@ -5,8 +5,6 @@ adapter sizes each stage online, and a supervisor watches the miss rate
 for distribution drift. The batch layers reproduce the figures; this
 package closes the loop into a long-running process:
 
-* :mod:`repro.serving.sources` — unbounded arrival streams (NHPP on a
-  diurnal curve, trace replay with wrap-around, Poisson, ...).
 * :mod:`repro.serving.events` — a structured JSONL event log (arrivals,
   decisions, hot-swaps, snapshots) so runs are replayable and testable.
 * :mod:`repro.serving.loop` — the asyncio :class:`ServingLoop`: ingest,
@@ -17,7 +15,6 @@ package closes the loop into a long-running process:
 
 from .events import EventLog, read_events
 from .loop import ServingConfig, ServingLoop, ServingReport, run_service
-from .sources import arrival_source, fleet_arrival_source
 
 __all__ = [
     "EventLog",
@@ -26,6 +23,4 @@ __all__ = [
     "ServingLoop",
     "ServingReport",
     "run_service",
-    "arrival_source",
-    "fleet_arrival_source",
 ]

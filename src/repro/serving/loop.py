@@ -24,16 +24,19 @@ trace per second).
 from __future__ import annotations
 
 import asyncio
+import itertools
 import math
 import time
 import typing as _t
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..cluster.faults import FaultSpec, compile_region_failover
 from ..errors import ExperimentError
 from ..fleet.routing import StreamRouter
-from ..fleet.runner import region_arrival
+from ..fleet.runner import fleet_arrival_source, region_arrival
 from ..fleet.topology import FleetConfig
 from ..metrics.streaming import StreamingMoments, StreamingSummary, WindowedRate
 from ..adapter.supervisor import HitMissSupervisor
@@ -44,11 +47,15 @@ from ..rng import RngFactory, child_seed
 from ..runtime.executor import AnalyticExecutor
 from ..scenarios.registry import scenario_workflow
 from ..synthesis.generator import HeadExploration, synthesize_hints
-from ..traces.workload import ArrivalSpec
+from ..traces.workload import ArrivalSpec, draw_dynamics, dynamics_streams
 from ..workflow.catalog import Workflow
-from ..workflow.request import RequestOutcome, StageRecord, WorkflowRequest
+from ..workflow.request import (
+    DEFAULT_STREAM_CHUNK,
+    RequestOutcome,
+    StageRecord,
+    WorkflowRequest,
+)
 from .events import EventLog
-from .sources import arrival_source, fleet_arrival_source
 
 __all__ = ["ServingConfig", "ServingLoop", "ServingReport", "run_service"]
 
@@ -233,38 +240,24 @@ class ServingLoop:
             )
         factory = RngFactory(config.seed).fork("serving", self.workflow.name)
         self.fleet = config.fleet
+        # ``self._arrivals`` yields ``(arrival_ms, home_region)``: one
+        # phase-offset stream per region, merged. Region 0 (the only one
+        # without a fleet) draws the fleet-free stream byte for byte
+        # (common random numbers: turning on a fleet replays the
+        # single-region run's arrivals at home); the rest fork fresh
+        # per-region streams.
+        regions = self.fleet.regions if self.fleet is not None else ("",)
+        self._arrivals = fleet_arrival_source(
+            [
+                region_arrival(self.effective_source, r, len(regions))
+                for r in range(len(regions))
+            ],
+            [factory.stream("arrivals")]
+            + [factory.stream("region", name, "arrivals") for name in regions[1:]],
+            workflow=self.workflow.name,
+        )
         self.router: StreamRouter | None = None
-        # ``self._arrivals`` is always an iterator of ``(arrival_ms,
-        # home_region)`` — home is region 0 for a fleet-free run, drawn
-        # from the exact pre-fleet stream path.
-        if self.fleet is None:
-            self._arrivals = (
-                (t, 0)
-                for t in arrival_source(
-                    self.effective_source,
-                    factory.stream("arrivals"),
-                    workflow=self.workflow.name,
-                )
-            )
-        else:
-            # One phase-offset source per region. Region 0 keeps the
-            # fleet-free stream path byte for byte (common random
-            # numbers: turning on a fleet replays the single-region run's
-            # arrivals at home); the rest fork fresh per-region streams.
-            n_regions = len(self.fleet.regions)
-            specs = [
-                region_arrival(self.effective_source, r, n_regions)
-                for r in range(n_regions)
-            ]
-            rngs = [
-                factory.stream("arrivals")
-                if r == 0
-                else factory.stream("region", name, "arrivals")
-                for r, name in enumerate(self.fleet.regions)
-            ]
-            self._arrivals = fleet_arrival_source(
-                specs, rngs, workflow=self.workflow.name
-            )
+        if self.fleet is not None:
             outage = None
             if (
                 config.faults is not None
@@ -278,16 +271,13 @@ class ServingLoop:
                     child_seed(
                         config.seed, "faults", config.faults.label
                     ),
-                    n_regions,
+                    len(regions),
                     self.effective_source.period_s * 1000.0,
                 )
             self.router = StreamRouter(
                 self.fleet, hold_ms=self.slo_ms, outage=outage
             )
-        self._stage_rngs = {
-            name: factory.stream("dynamics", name)
-            for name in self.workflow.dag.nodes
-        }
+        self._dynamics = self._draw_dynamics(factory)
 
         # Streaming state — all O(1) or bounded-window memory.
         self.latency = StreamingSummary(config.percentiles)
@@ -303,43 +293,26 @@ class ServingLoop:
         self.completed = 0
         self.swaps = 0
         self._in_flight: set[asyncio.Task[None]] = set()
-        self._workset_scale = 1.0
 
     # -- request construction ----------------------------------------------
     def _flag_drift(self, _supervisor: HitMissSupervisor) -> None:
         self._drift_flagged = True
 
-    def _scale_for(self, index: int) -> float:
-        scale = 1.0
-        for after_n, s in self.config.workset_schedule:
-            if index >= after_n:
-                scale = s
-        return scale
-
-    def _make_request(self, index: int, arrival_ms: float) -> WorkflowRequest:
-        # Mirrors :func:`repro.traces.workload.generate_requests`: dynamics
-        # are drawn per request in arrival order from per-stage streams, so
-        # the stream is identical however the loop is paced or adapted.
-        self._workset_scale = self._scale_for(index)
-        dynamics = {}
-        for name in self.workflow.dag.nodes:
-            model = self.workflow.model(name)
-            dyn = model.sample_dynamics(self._stage_rngs[name])
-            if self._workset_scale != 1.0:
-                dyn = type(dyn)(
-                    workset=dyn.workset * self._workset_scale,
-                    noise_z=dyn.noise_z,
-                    interference=dyn.interference,
-                )
-            dynamics[name] = dyn
-        return WorkflowRequest(
-            request_id=index,
-            arrival_ms=arrival_ms,
-            slo_ms=self.slo_ms,
-            stage_dynamics=dynamics,
-            concurrency=1,
-            workflow=self.workflow.name,
-        )
+    def _draw_dynamics(
+        self, factory: RngFactory
+    ) -> _t.Iterator[tuple[float, dict[str, _t.Any]]]:
+        # ``(workset_scale, stage dynamics)`` per request: the draw of
+        # :func:`repro.traces.workload.iter_requests` on the loop's own
+        # streams, DEFAULT_STREAM_CHUNK requests at a time, with the drift
+        # schedule as a column of workset scales. The stream is identical
+        # however the loop is paced or adapted.
+        stages = dynamics_streams(self.workflow, factory)
+        for lo in itertools.count(0, DEFAULT_STREAM_CHUNK):
+            scales = np.ones(DEFAULT_STREAM_CHUNK)
+            for after_n, scale in self.config.workset_schedule:
+                scales[max(0, after_n - lo) :] = scale
+            rows = draw_dynamics(stages, DEFAULT_STREAM_CHUNK, scales)
+            yield from zip(scales.tolist(), rows)
 
     # -- serving ------------------------------------------------------------
     async def _serve(
@@ -546,25 +519,28 @@ class ServingLoop:
                 served = home
                 if self.router is not None:
                     served, rtt_ms = self.router.route(home, arrival_ms)
-                request = self._make_request(self.arrivals, arrival_ms)
+                workset_scale, dynamics = next(self._dynamics)
+                request = WorkflowRequest(
+                    request_id=self.arrivals,
+                    arrival_ms=arrival_ms,
+                    slo_ms=self.slo_ms,
+                    stage_dynamics=dynamics,
+                    concurrency=1,
+                    workflow=self.workflow.name,
+                )
                 self.arrivals += 1
+                arrival = dict(
+                    request_id=request.request_id,
+                    arrival_ms=round(arrival_ms, 3),
+                    workset_scale=workset_scale,
+                )
                 if self.fleet is not None:
-                    self.events.emit(
-                        "arrival",
-                        request_id=request.request_id,
-                        arrival_ms=round(arrival_ms, 3),
-                        workset_scale=self._workset_scale,
+                    arrival.update(
                         home=self.fleet.regions[home],
                         served=self.fleet.regions[served],
                         rtt_ms=rtt_ms,
                     )
-                else:
-                    self.events.emit(
-                        "arrival",
-                        request_id=request.request_id,
-                        arrival_ms=round(arrival_ms, 3),
-                        workset_scale=self._workset_scale,
-                    )
+                self.events.emit("arrival", **arrival)
                 task = asyncio.ensure_future(self._serve(request, rtt_ms))
                 self._in_flight.add(task)
                 task.add_done_callback(self._in_flight.discard)

@@ -3,12 +3,6 @@ Azure-like invocation trace used by the Fig. 1a analysis, and the
 trace-file subsystem (versioned on-disk format, diurnal rate curves, Zipf
 popularity mixes, record/replay)."""
 
-from .arrivals import (
-    azure_like_arrivals,
-    burst_arrivals,
-    constant_arrivals,
-    poisson_arrivals,
-)
 from .azure import AzureLikeTrace, SlackAnalysis, generate_trace, slack_analysis
 from .diurnal import DiurnalRate, nhpp_arrivals
 from .popularity import PopularityMix
@@ -30,10 +24,6 @@ from .workload import (
 )
 
 __all__ = [
-    "poisson_arrivals",
-    "constant_arrivals",
-    "burst_arrivals",
-    "azure_like_arrivals",
     "nhpp_arrivals",
     "DiurnalRate",
     "PopularityMix",

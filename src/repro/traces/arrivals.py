@@ -1,114 +1,185 @@
-"""Request arrival processes."""
+"""The arrival engine: one chunked generator per arrival kind.
+
+:func:`arrival_chunks` draws every process an :class:`~repro.traces.
+workload.ArrivalSpec` names, for both consumers. Sweeps take the first
+``n`` timestamps (``ArrivalSpec.timestamps``) from chunks sized for ``n``:
+one chunk of ``n``, or ``max(128, 2 * remaining)`` candidates per
+thinning round for the NHPP kinds. Serving reads the process unbounded
+(``ArrivalSpec.stream``) in fixed :data:`CHUNK`-sized chunks, so a seed
+replays the same stream however far it is read. Constant, poisson, azure
+and replay draw one distribution per chunk, so their streams start with
+their batch timestamps; burst and the NHPP kinds interleave two draws and
+differ. The batch rule stays because sweep draws, goldens and cache keys
+rest on it. Across chunks, gap sums run on from the last timestamp, the
+thinning clock carries over and replay indexes the trace by absolute
+position, so chunk edges never show in the bits.
+"""
 
 from __future__ import annotations
+
+import itertools
+import math
+import typing as _t
 
 import numpy as np
 
 from ..errors import TraceError
-from .diurnal import DiurnalRate, FlashCrowdRate, nhpp_arrivals
 
-__all__ = [
-    "poisson_arrivals",
-    "constant_arrivals",
-    "burst_arrivals",
-    "azure_like_arrivals",
-    "storm_arrivals",
-]
+if _t.TYPE_CHECKING:
+    from .diurnal import RateCurve
+    from .trace_file import WorkloadTrace
+    from .workload import ArrivalSpec
 
+__all__ = ["CHUNK", "arrival_chunks", "first_n", "replayed", "thinned"]
 
-def poisson_arrivals(
-    rate_per_s: float, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """``n`` Poisson arrival timestamps (ms), starting at the first event."""
-    if rate_per_s <= 0:
-        raise TraceError(f"rate must be > 0, got {rate_per_s}")
-    if n <= 0:
-        raise TraceError(f"n must be > 0, got {n}")
-    gaps_ms = rng.exponential(1000.0 / rate_per_s, size=n)
-    return np.cumsum(gaps_ms)
+#: Timestamps (or thinning candidates) per chunk of an unbounded stream.
+CHUNK = 512
+
+Chunks = _t.Iterator[np.ndarray]
 
 
-def constant_arrivals(interval_ms: float, n: int) -> np.ndarray:
-    """``n`` evenly spaced arrivals (closed-loop style)."""
-    if interval_ms < 0:
-        raise TraceError(f"interval must be >= 0, got {interval_ms}")
-    if n <= 0:
-        raise TraceError(f"n must be > 0, got {n}")
-    return np.arange(n, dtype=np.float64) * interval_ms
-
-
-def burst_arrivals(
-    base_rate_per_s: float,
-    burst_rate_per_s: float,
-    burst_fraction: float,
-    n: int,
+def arrival_chunks(
+    spec: "ArrivalSpec",
     rng: np.random.Generator,
-) -> np.ndarray:
-    """Two-phase arrivals: alternating base and burst intensity.
+    n: int | None = None,
+    workflow: str | None = None,
+) -> Chunks:
+    """``spec``'s arrival timestamps (ms), a chunk at a time: sized to
+    reach ``n`` arrivals, or :data:`CHUNK` each and unbounded without
+    ``n``. ``workflow`` selects a replay sub-stream. A non-finite
+    timestamp raises :class:`TraceError` naming the spec and the index."""
+    size = CHUNK if n is None else n
+    if spec.kind == "constant":
+        chunks = _indexed(lambda i: i * spec.interval_ms, size)
+    elif spec.kind == "poisson":
+        mean_gap_ms = 1000.0 / spec.rate_per_s
+        chunks = _summed(lambda m: rng.exponential(mean_gap_ms, size=m), size)
+    elif spec.kind == "burst":
 
-    Reproduces the bursty serverless traffic motivating BATCH [29]; each
-    request independently belongs to the burst regime with probability
-    ``burst_fraction``.
-    """
-    if not 0.0 <= burst_fraction <= 1.0:
-        raise TraceError(f"burst fraction must be in [0, 1]: {burst_fraction}")
-    if base_rate_per_s <= 0 or burst_rate_per_s <= 0:
-        raise TraceError("rates must be > 0")
+        def burst_gaps(m: int) -> np.ndarray:
+            in_burst = rng.random(m) < spec.burst_fraction
+            rates = np.where(in_burst, spec.effective_burst_rate, spec.rate_per_s)
+            return rng.exponential(1000.0 / rates)
+
+        chunks = _summed(burst_gaps, size)
+    elif spec.kind == "azure":
+        # E[exp(sigma z - sigma^2/2)] = 1, so the mean gap is 1000/rate.
+        sigma, mean_gap_ms = spec.sigma, 1000.0 / spec.rate_per_s
+        chunks = _summed(
+            lambda m: np.exp(sigma * rng.standard_normal(m) - 0.5 * sigma * sigma)
+            * mean_gap_ms,
+            size,
+        )
+    elif spec.kind == "replay":
+        from .trace_file import cached_trace  # trace_file imports this module
+
+        chunks = replayed(cached_trace(spec.trace), n, workflow)
+    else:
+        chunks = thinned(spec.rate_curve(), rng, n, spec.label)
+    start = 0
+    for chunk in chunks:
+        finite = np.isfinite(chunk)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise TraceError(
+                f"arrival process {spec.label} overflowed: timestamp "
+                f"{start + i} is {chunk[i]}"
+            )
+        start += chunk.size
+        yield chunk
+
+
+def first_n(chunks: Chunks, n: int) -> np.ndarray:
+    """The first ``n`` timestamps of a chunk stream, as one array."""
     if n <= 0:
         raise TraceError(f"n must be > 0, got {n}")
-    in_burst = rng.random(n) < burst_fraction
-    rates = np.where(in_burst, burst_rate_per_s, base_rate_per_s)
-    gaps_ms = rng.exponential(1000.0 / rates)
-    return np.cumsum(gaps_ms)
+    parts, have = [], 0
+    for chunk in chunks:
+        parts.append(chunk)
+        have += chunk.size
+        if have >= n:
+            break
+    return (parts[0] if len(parts) == 1 else np.concatenate(parts))[:n]
 
 
-def storm_arrivals(
-    rate_per_s: float,
-    multiplier: float,
-    window_fraction: float,
-    n: int,
+def thinned(
+    curve: "RateCurve",
     rng: np.random.Generator,
-    amplitude: float = 0.0,
-    period_s: float = 60.0,
-    phase: float = 0.0,
-) -> np.ndarray:
-    """Flash-crowd arrivals: a diurnal base with a storm window at the peak.
+    n: int | None = None,
+    label: str = "NHPP",
+) -> Chunks:
+    """Lewis–Shedler thinning: each round draws candidates at the curve's
+    peak rate (``max(128, 2 * remaining)`` of them while ``n`` arrivals are
+    wanted, :data:`CHUNK` without ``n``) and keeps each with probability
+    ``rate(t) / peak``. A clock that stops being finite raises instead of
+    spinning on rounds that accept nothing."""
+    peak = curve.peak_rate
+    if not 0.0 < peak < math.inf or not 1000.0 / peak < math.inf:
+        # Finite parameters can still overflow the envelope or its gap.
+        raise TraceError(
+            f"peak rate must be finite and > 0 with a finite mean gap, "
+            f"got {peak}"
+        )
+    t_ms, filled = 0.0, 0
+    while True:
+        m = CHUNK if n is None else max(128, 2 * (n - filled))
+        candidates = t_ms + np.cumsum(rng.exponential(1000.0 / peak, size=m))
+        u = rng.random(m)
+        accepted = candidates[u * peak < curve.rate_at(candidates / 1000.0)]
+        t_ms = float(candidates[-1])
+        if not math.isfinite(t_ms):
+            raise TraceError(
+                f"arrival process {label} overflowed: the thinning clock "
+                f"is {t_ms} at timestamp {filled}"
+            )
+        filled += accepted.size
+        yield accepted
 
-    The cold-start-storm scenario — ``multiplier`` x traffic during
-    ``window_fraction`` of every period, landing on the busy hour of a
-    sinusoidal base curve (``amplitude = 0`` storms a flat Poisson base;
-    ``phase`` shifts the base so fleet regions storm at their own local
-    busy hours). Sampled by the same deterministic thinning loop as plain
-    diurnal arrivals, so a fixed seed replays bit-identically.
-    """
-    base = DiurnalRate.sinusoid(rate_per_s, amplitude, period_s, phase)
-    crowd = FlashCrowdRate(base, multiplier, window_fraction)
-    return nhpp_arrivals(crowd, n, rng)
+
+def replayed(
+    trace: "WorkloadTrace", n: int | None = None, workflow: str | None = None
+) -> Chunks:
+    """``trace``'s arrivals: the recorded prefix while ``n`` fits the
+    record count, else wrapped around, each pass shifted by the span plus
+    one mean gap so the gap structure repeats without overlaps."""
+    arrivals = trace.arrivals_for(workflow)
+    if arrivals.size == 0:
+        raise TraceError(
+            f"trace {trace.name!r} has no records"
+            + (f" for workflow {workflow!r}" if workflow else "")
+        )
+    m = int(arrivals.size)
+    if n is not None and n <= m:
+        yield arrivals[:n]
+        return
+    if m == 1:
+        # Tiling one timestamp would invent a burst the trace never had.
+        raise TraceError(
+            f"cannot extend the single-record stream of trace "
+            f"{trace.name!r}"
+            + (f" (workflow {workflow!r})" if workflow else "")
+            + (f" to {n} arrivals" if n is not None else " forever")
+            + " — wrap-around needs >= 2 records"
+        )
+    span = float(arrivals[-1] - arrivals[0])
+    period = span + span / (m - 1)
+    yield from _indexed(
+        lambda i: arrivals[i % m] + (i // m) * period, CHUNK if n is None else n
+    )
 
 
-def azure_like_arrivals(
-    rate_per_s: float,
-    n: int,
-    rng: np.random.Generator,
-    sigma: float = 1.5,
-) -> np.ndarray:
-    """Heavy-tailed arrivals replaying the Azure-trace gap shape.
+def _indexed(at: _t.Callable[[np.ndarray], np.ndarray], size: int) -> Chunks:
+    for lo in itertools.count(0, size):
+        yield at(np.arange(lo, lo + size))
 
-    Production serverless traces ([23], [40] in :mod:`repro.traces.azure`)
-    show lognormal-like inter-arrival gaps with P99/P50 ratios of 10-100x;
-    ``sigma`` is the log-std of the gap distribution (1.0 ≈ 10x, 2.0 ≈
-    100x). Gaps are normalised to unit mean before scaling, so the
-    empirical rate converges to ``rate_per_s`` while individual gaps span
-    orders of magnitude — the replay-style stress the Poisson process
-    cannot produce.
-    """
-    if rate_per_s <= 0:
-        raise TraceError(f"rate must be > 0, got {rate_per_s}")
-    if n <= 0:
-        raise TraceError(f"n must be > 0, got {n}")
-    if sigma < 0:
-        raise TraceError(f"sigma must be >= 0, got {sigma}")
-    # E[exp(sigma z - sigma^2/2)] = 1, so the mean gap is exactly 1000/rate.
-    z = rng.standard_normal(n)
-    gaps_ms = np.exp(sigma * z - 0.5 * sigma * sigma) * (1000.0 / rate_per_s)
-    return np.cumsum(gaps_ms)
+
+def _summed(gaps: _t.Callable[[int], np.ndarray], size: int) -> Chunks:
+    t_ms = 0.0
+    while True:
+        # One sequential sum on from the last timestamp: the bits of
+        # ``t += gap`` per gap, and of ``np.cumsum(gaps)`` from zero.
+        chunk = gaps(size)
+        chunk[0] += t_ms
+        chunk = np.cumsum(chunk)
+        t_ms = float(chunk[-1])
+        yield chunk

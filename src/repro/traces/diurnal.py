@@ -8,11 +8,9 @@ top of its Zipf popularity skew. This module models the rate side:
   requests/s, either sinusoidal (one smooth day/night swing) or
   piecewise-constant (explicit step schedule), both periodic.
 * :func:`nhpp_arrivals` — samples a non-homogeneous Poisson process from
-  any such curve by Lewis–Shedler thinning: candidates are drawn from a
-  homogeneous process at the peak rate and accepted with probability
-  ``rate(t) / peak``. The chunked loop consumes the generator in a
-  deterministic order, so a fixed seed replays bit-identically — the
-  contract every sweep arrival process must honour.
+  any such curve by Lewis–Shedler thinning (candidates at the peak rate,
+  each kept with probability ``rate(t) / peak``; see
+  :mod:`repro.traces.arrivals`), bit-identically under a fixed seed.
 """
 
 from __future__ import annotations
@@ -24,8 +22,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import TraceError
+from .arrivals import first_n, thinned
 
-__all__ = ["RateCurve", "DiurnalRate", "FlashCrowdRate", "nhpp_arrivals"]
+__all__ = [
+    "RateCurve", "DiurnalRate", "FlashCrowdRate", "MAX_STORM_MULTIPLIER",
+    "nhpp_arrivals",
+]
+
+#: The largest flash-crowd rate multiplier. Thinning draws about
+#: ``multiplier`` candidates per arrival outside the storm window, so an
+#: unbounded multiplier is an unbounded loop.
+MAX_STORM_MULTIPLIER = 1000.0
 
 
 @_t.runtime_checkable
@@ -204,9 +211,10 @@ class FlashCrowdRate:
     window_fraction: float
 
     def __post_init__(self) -> None:
-        if not 1.0 < self.multiplier < math.inf:
+        if not 1.0 < self.multiplier <= MAX_STORM_MULTIPLIER:
             raise TraceError(
-                f"storm multiplier must be finite and > 1, got {self.multiplier}"
+                f"storm multiplier must be finite and in "
+                f"(1, {MAX_STORM_MULTIPLIER:g}], got {self.multiplier}"
             )
         if not 0.0 < self.window_fraction <= 1.0:
             raise TraceError(
@@ -255,30 +263,7 @@ class FlashCrowdRate:
 def nhpp_arrivals(
     curve: RateCurve, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """``n`` arrival timestamps (ms) of a non-homogeneous Poisson process.
-
-    Lewis–Shedler thinning: homogeneous candidates at :attr:`DiurnalRate.
-    peak_rate`, each kept with probability ``rate(t) / peak``. Chunk sizes
-    depend only on ``n`` and the accepted count so far, so the generator
-    is consumed in a deterministic order and a fixed seed replays
-    bit-identically.
-    """
-    if n <= 0:
-        raise TraceError(f"n must be > 0, got {n}")
-    peak = curve.peak_rate
-    if not 0.0 < peak < math.inf:  # finite parameters can still overflow it
-        raise TraceError(f"peak rate must be finite and > 0, got {peak}")
-    out = np.empty(n, dtype=np.float64)
-    filled = 0
-    t_ms = 0.0
-    while filled < n:
-        m = max(128, 2 * (n - filled))
-        gaps_ms = rng.exponential(1000.0 / peak, size=m)
-        candidates = t_ms + np.cumsum(gaps_ms)
-        u = rng.random(m)
-        accepted = candidates[u * peak < curve.rate_at(candidates / 1000.0)]
-        take = min(accepted.size, n - filled)
-        out[filled : filled + take] = accepted[:take]
-        filled += take
-        t_ms = float(candidates[-1])
-    return out
+    """``n`` arrival timestamps (ms) of the NHPP with rate ``curve``, by
+    the thinning diurnal and storm specs use too
+    (:func:`repro.traces.arrivals.thinned`)."""
+    return first_n(thinned(curve, rng, n), n)

@@ -39,6 +39,7 @@ import numpy as np
 from ..errors import TraceError
 from ..persist import atomic_write_bytes, content_digest
 from ..rng import RngFactory
+from .arrivals import first_n, replayed
 from .popularity import PopularityMix
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -522,35 +523,7 @@ def trace_from_requests(
 def replay_arrivals(
     trace: WorkloadTrace, n: int, workflow: str | None = None
 ) -> np.ndarray:
-    """``n`` arrival timestamps replayed from ``trace``.
-
-    Fewer requests than records takes the stream prefix; more wraps
-    around, shifting each pass by the trace span plus one mean gap so the
-    gap structure repeats without overlapping arrivals. Deterministic —
-    replay consumes no randomness.
-    """
-    if n <= 0:
-        raise TraceError(f"n must be > 0, got {n}")
-    arrivals = trace.arrivals_for(workflow)
-    if arrivals.size == 0:
-        raise TraceError(
-            f"trace {trace.name!r} has no records"
-            + (f" for workflow {workflow!r}" if workflow else "")
-        )
-    m = int(arrivals.size)
-    if n <= m:
-        return arrivals[:n]
-    if m == 1:
-        # No gap structure to repeat: tiling one timestamp would invent
-        # an n-wide simultaneous burst the trace never recorded.
-        raise TraceError(
-            f"cannot extend the single-record stream of trace "
-            f"{trace.name!r}"
-            + (f" (workflow {workflow!r})" if workflow else "")
-            + f" to {n} arrivals — wrap-around needs >= 2 records"
-        )
-    span = float(arrivals[-1] - arrivals[0])
-    mean_gap = span / (m - 1)
-    period = span + mean_gap
-    idx = np.arange(n, dtype=np.int64)
-    return arrivals[idx % m] + (idx // m) * period
+    """``n`` arrival timestamps replayed from ``trace``, wrapping around
+    past the last record as replay specs do
+    (:func:`repro.traces.arrivals.replayed`)."""
+    return first_n(replayed(trace, n, workflow), n)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import TraceError
-from ..functions.model import InvocationDynamics
+from ..functions.model import FunctionModel, InvocationDynamics
 from ..rng import RngFactory
 from ..types import Milliseconds
 from ..workflow.catalog import Workflow
@@ -24,19 +24,14 @@ from ..workflow.request import (
     RequestBlock,
     WorkflowRequest,
 )
-from .arrivals import (
-    azure_like_arrivals,
-    burst_arrivals,
-    constant_arrivals,
-    poisson_arrivals,
-    storm_arrivals,
-)
-from .diurnal import DiurnalRate, FlashCrowdRate, nhpp_arrivals
-from .trace_file import cached_trace, replay_arrivals
+from .arrivals import arrival_chunks, first_n
+from .diurnal import DiurnalRate, FlashCrowdRate, RateCurve
 
 __all__ = [
     "ArrivalSpec",
     "WorkloadConfig",
+    "draw_dynamics",
+    "dynamics_streams",
     "generate_requests",
     "iter_requests",
     "shifted_workload",
@@ -62,9 +57,9 @@ class ArrivalSpec:
     """Declarative arrival process — picklable, hashable, seed-free.
 
     The spec carries only the process *shape*; randomness comes from the
-    generator passed to :meth:`timestamps`, so the same spec replays
-    identically under a derived per-scenario RNG (the contract the sweep
-    engine's bit-reproducibility rests on).
+    generator passed to :meth:`timestamps` or :meth:`stream`, so the same
+    spec replays identically under a derived per-scenario RNG (the
+    contract the sweep engine's bit-reproducibility rests on).
 
     ``kind`` is one of ``constant`` (fixed ``interval_ms`` spacing),
     ``poisson`` (exponential gaps at ``rate_per_s``), ``burst`` (two-phase
@@ -127,6 +122,8 @@ class ArrivalSpec:
                 )
         elif self.kind != "replay" and self.rate_per_s <= 0:
             raise TraceError(f"rate must be > 0, got {self.rate_per_s}")
+        if self.kind in ("poisson", "burst", "azure"):
+            _check_rate("rate_per_s", self.rate_per_s)
         if self.kind == "burst":
             if self.burst_rate_per_s is not None and self.burst_rate_per_s <= 0:
                 raise TraceError(
@@ -136,28 +133,39 @@ class ArrivalSpec:
                 raise TraceError(
                     f"burst fraction must be in [0, 1]: {self.burst_fraction}"
                 )
+            _check_rate(
+                "rate_per_s" if self.burst_rate_per_s is None
+                else "burst_rate_per_s",
+                self.effective_burst_rate, "burst rate",
+            )
         if self.kind == "azure" and self.sigma < 0:
             raise TraceError(f"sigma must be >= 0, got {self.sigma}")
-        if self.kind == "diurnal":
-            # Delegated construction validates amplitude/period/phase
-            # alongside the rate, at spec-build time as for the other kinds.
-            DiurnalRate.sinusoid(
-                self.rate_per_s, self.amplitude, self.period_s, self.phase
-            )
         if self.kind == "replay" and not self.trace:
             raise TraceError(
                 "replay arrivals require trace=<path to a trace file>"
             )
+        if self.kind in ("diurnal", "storm"):
+            # Building the curve validates its shape at spec-build time,
+            # as for the other kinds; its peak is the thinning envelope.
+            _check_rate("rate_per_s", self.rate_curve().peak_rate, "peak rate")
+
+    @property
+    def effective_burst_rate(self) -> float:
+        """The burst phase's rate: ``burst_rate_per_s``, else 10x the base."""
+        if self.burst_rate_per_s is not None:
+            return self.burst_rate_per_s
+        return 10.0 * self.rate_per_s
+
+    def rate_curve(self) -> RateCurve:
+        """The rate curve a diurnal or storm spec thins."""
+        curve = DiurnalRate.sinusoid(
+            self.rate_per_s, self.amplitude, self.period_s, self.phase
+        )
         if self.kind == "storm":
-            # Delegated construction validates the base curve and the storm
-            # window alongside it, at spec-build time as for the others.
-            FlashCrowdRate(
-                DiurnalRate.sinusoid(
-                    self.rate_per_s, self.amplitude, self.period_s, self.phase
-                ),
-                self.storm_multiplier,
-                self.storm_fraction,
+            return FlashCrowdRate(
+                curve, self.storm_multiplier, self.storm_fraction
             )
+        return curve
 
     @property
     def label(self) -> str:
@@ -167,13 +175,8 @@ class ArrivalSpec:
         if self.kind == "poisson":
             return f"poisson@{self.rate_per_s:g}/s"
         if self.kind == "burst":
-            burst_rate = (
-                self.burst_rate_per_s
-                if self.burst_rate_per_s is not None
-                else 10.0 * self.rate_per_s
-            )
             return (
-                f"burst@{self.rate_per_s:g}/s+{burst_rate:g}/s"
+                f"burst@{self.rate_per_s:g}/s+{self.effective_burst_rate:g}/s"
                 f"@{self.burst_fraction:g}"
             )
         if self.kind == "diurnal":
@@ -215,39 +218,25 @@ class ArrivalSpec:
         sub-stream (its share of the recorded popularity mix), an
         unattributed trace replays the full stream.
         """
-        if self.kind == "constant":
-            return constant_arrivals(self.interval_ms, n)
-        if self.kind == "poisson":
-            return poisson_arrivals(self.rate_per_s, n, rng)
-        if self.kind == "burst":
-            burst_rate = (
-                self.burst_rate_per_s
-                if self.burst_rate_per_s is not None
-                else 10.0 * self.rate_per_s
-            )
-            return burst_arrivals(
-                self.rate_per_s, burst_rate, self.burst_fraction, n, rng
-            )
-        if self.kind == "diurnal":
-            curve = DiurnalRate.sinusoid(
-                self.rate_per_s, self.amplitude, self.period_s, self.phase
-            )
-            return nhpp_arrivals(curve, n, rng)
-        if self.kind == "replay":
-            assert self.trace is not None  # __post_init__ guarantees it
-            return replay_arrivals(cached_trace(self.trace), n, workflow)
-        if self.kind == "storm":
-            return storm_arrivals(
-                self.rate_per_s,
-                self.storm_multiplier,
-                self.storm_fraction,
-                n,
-                rng,
-                amplitude=self.amplitude,
-                period_s=self.period_s,
-                phase=self.phase,
-            )
-        return azure_like_arrivals(self.rate_per_s, n, rng, sigma=self.sigma)
+        return first_n(arrival_chunks(self, rng, n, workflow), n)
+
+    def stream(
+        self, rng: np.random.Generator, workflow: str | None = None
+    ) -> _t.Iterator[float]:
+        """This process unbounded, as Python floats (ms), drawn in fixed
+        chunks so a seed replays it however far it is read."""
+        for chunk in arrival_chunks(self, rng, workflow=workflow):
+            yield from chunk.tolist()
+
+
+def _check_rate(knob: str, rate_per_s: float, what: str = "rate") -> None:
+    # Finite knobs can still overflow a rate or its mean gap, which would
+    # hang the sampler or yield inf/nan arrivals.
+    if not (rate_per_s < math.inf and 1000.0 / rate_per_s < math.inf):
+        raise TraceError(
+            f"arrival {knob} gives a {what} of {rate_per_s:g}/s; it and its "
+            f"mean gap 1000/{what} ms must both be finite"
+        )
 
 
 class WorkloadConfig:
@@ -309,9 +298,9 @@ def iter_requests(
     """Yield the deterministic request stream one request at a time.
 
     Dynamics are drawn :data:`DEFAULT_STREAM_CHUNK` requests at a time
-    per stage (``sample_dynamics(..., size=m)``), with the bits of one
-    scalar draw per request per stage; arrivals in one batch (O(n) floats,
-    the cheap part). Streaming consumers never hold the full stream.
+    (:func:`draw_dynamics`), with the bits of one scalar draw per request
+    per stage; arrivals in one batch (O(n) floats, the cheap part).
+    Streaming consumers never hold the full stream.
     """
     cfg = config or WorkloadConfig()
     factory = RngFactory(seed).fork("workload", workflow.name)
@@ -322,41 +311,62 @@ def iter_requests(
     concurrency = int(
         cfg.concurrency if cfg.concurrency is not None else workflow.max_concurrency
     )
-    # All DAG nodes get dynamics (branching workflows execute
-    # off-critical-path functions too).
-    nodes = tuple(workflow.dag.nodes)
-    stages = [
-        (workflow.model(name), factory.stream("dynamics", name))
-        for name in nodes
-    ]
-    interference_rng = factory.stream("interference")
-
+    stages = dynamics_streams(workflow, factory)
+    interference = None
+    if cfg.interference is not None:
+        interference = (cfg.interference, factory.stream("interference"))
     for lo in range(0, cfg.n_requests, DEFAULT_STREAM_CHUNK):
         m = min(DEFAULT_STREAM_CHUNK, cfg.n_requests - lo)
-        # Per stage, the requests' interference: 1.0 without a callback,
-        # else the callback on its own stream, per request per stage.
-        interference: _t.Any = itertools.repeat(itertools.repeat(1.0))
-        if cfg.interference is not None:
-            calls = range(m * len(nodes))
-            q = [float(cfg.interference(interference_rng)) for _ in calls]
-            interference = [q[j :: len(nodes)] for j in range(len(nodes))]
-        per_stage = []
-        for (model, rng), qs in zip(stages, interference):
-            worksets, noise_zs, _ = model.sample_dynamics(rng, size=m)
-            if cfg.workset_scale != 1.0:
-                worksets = worksets * cfg.workset_scale
-            per_stage.append(map(
-                InvocationDynamics, worksets.tolist(), noise_zs.tolist(), qs
-            ))
         yield from map(
             WorkflowRequest,
             range(lo, lo + m),
             arrivals[lo : lo + m],
             itertools.repeat(slo),
-            [dict(zip(nodes, row)) for row in zip(*per_stage)],
+            draw_dynamics(stages, m, cfg.workset_scale, interference),
             itertools.repeat(concurrency),
             itertools.repeat(workflow.name),
         )
+
+
+#: One workflow node's dynamics source: its name, model and stream.
+Stage = tuple[str, FunctionModel, np.random.Generator]
+
+
+def dynamics_streams(workflow: Workflow, factory: RngFactory) -> list[Stage]:
+    """Every DAG node (branching workflows run off-critical-path functions
+    too) with its own ``("dynamics", name)`` stream of ``factory``."""
+    return [
+        (name, workflow.model(name), factory.stream("dynamics", name))
+        for name in workflow.dag.nodes
+    ]
+
+
+def draw_dynamics(
+    stages: _t.Sequence[Stage],
+    m: int,
+    workset_scale: "float | np.ndarray" = 1.0,
+    interference: tuple[InterferenceDraw, np.random.Generator] | None = None,
+) -> _t.Iterator[dict[str, InvocationDynamics]]:
+    """The stage dynamics of the next ``m`` requests, one dict each, built
+    as read: one ``sample_dynamics(rng, size=m)`` call per stage (the bits
+    of ``m`` scalar calls), working sets times ``workset_scale`` (a factor
+    or one per request; ``x * 1.0`` is exact), and interference from the
+    ``(draw, rng)`` pair per request per stage, else 1.0."""
+    names = [name for name, _, _ in stages]
+    per_stage_q: _t.Any = itertools.repeat(itertools.repeat(1.0))
+    if interference is not None:
+        draw, rng = interference
+        q = [float(draw(rng)) for _ in range(m * len(stages))]
+        per_stage_q = [q[j :: len(stages)] for j in range(len(stages))]
+    per_stage = []
+    for (_, model, rng), qs in zip(stages, per_stage_q):
+        worksets, noise_zs, _ = model.sample_dynamics(rng, size=m)
+        if np.any(workset_scale != 1.0):
+            worksets = worksets * workset_scale
+        per_stage.append(map(
+            InvocationDynamics, worksets.tolist(), noise_zs.tolist(), qs
+        ))
+    return (dict(zip(names, row)) for row in zip(*per_stage))
 
 
 def generate_requests(

@@ -25,6 +25,7 @@ from repro.fleet import (
     RegionTopology,
     RoutingContext,
     StreamRouter,
+    fleet_arrival_source,
     fleet_requests,
     parse_fleet,
     region_arrival,
@@ -41,7 +42,6 @@ from repro.scenarios import (
 )
 from repro.scenarios.registry import scenario_workflow
 from repro.serving import ServingConfig, run_service
-from repro.serving.sources import arrival_source, fleet_arrival_source
 from repro.traces.workload import ArrivalSpec
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -565,8 +565,6 @@ class TestFleetServing:
         assert taken == sorted(taken)  # time-ordered merge
         r0 = [t for t, region in taken if region == 0]
         solo = list(
-            itertools.islice(
-                arrival_source(spec, np.random.default_rng(5)), len(r0)
-            )
+            itertools.islice(spec.stream(np.random.default_rng(5)), len(r0))
         )
         assert r0 == solo

@@ -3,12 +3,17 @@
 A NaN or infinite rate used to hang the NHPP thinning loop (no candidate
 is ever accepted) or silently produce NaN / all-zero arrivals and NaN
 worksets; every such knob must now raise a typed error naming itself.
+So must a finite knob whose derived rate, mean gap or thinning cost
+overflows, and an overflow that depends on how many arrivals are drawn
+fails at draw time naming the spec and the index.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -132,4 +137,92 @@ def test_drift_scale_must_be_finite_and_positive(value):
 )
 def test_cli_commands_fail_fast(argv):
     with pytest.raises((TraceError, ClusterError, ExperimentError)):
+        main(argv + ["--samples", "300"])
+
+
+# -- finite knobs whose derived parameters overflow -------------------------
+
+#: ``(spec fields, the knob the error names)``: each spec is finite field
+#: by field, but its mean gap, burst rate or thinning envelope is not.
+OVERFLOWING_SPECS = [
+    (dict(kind="poisson", rate_per_s=1e-320), "rate_per_s"),
+    (dict(kind="azure", rate_per_s=1e-320), "rate_per_s"),
+    (dict(kind="burst", rate_per_s=1e-320), "rate_per_s"),
+    (dict(kind="burst", rate_per_s=1e308), "rate_per_s"),
+    (dict(kind="burst", rate_per_s=8.0, burst_rate_per_s=1e-320),
+     "burst_rate_per_s"),
+    (dict(kind="diurnal", rate_per_s=1.5e308), "rate_per_s"),
+    (dict(kind="diurnal", rate_per_s=1e-320), "rate_per_s"),
+    (dict(kind="storm", rate_per_s=1e306, storm_multiplier=1000.0),
+     "rate_per_s"),
+    (dict(kind="storm", rate_per_s=1e-320), "rate_per_s"),
+    (dict(kind="storm", rate_per_s=8.0, storm_multiplier=1e9), "multiplier"),
+]
+
+
+@pytest.mark.parametrize(
+    "fields,knob", OVERFLOWING_SPECS,
+    ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items())
+    if isinstance(v, dict) else v,
+)
+def test_overflowing_specs_fail_at_construction(fields, knob):
+    with pytest.raises(TraceError, match=knob):
+        ArrivalSpec(**fields)
+
+
+def test_storm_multiplier_is_capped():
+    base = DiurnalRate.sinusoid(8.0)
+    assert FlashCrowdRate(base, 1000.0, 0.15).peak_rate == 8.0 * 1.6 * 1000.0
+    with pytest.raises(TraceError, match="multiplier"):
+        FlashCrowdRate(base, 1000.5, 0.15)
+    assert FaultSpec(kind="storm", multiplier=1000.0).multiplier == 1000.0
+    with pytest.raises(ClusterError, match="multiplier"):
+        FaultSpec(kind="storm", multiplier=1e9)
+
+
+def test_overflowing_timestamps_name_the_spec_and_index():
+    # n-dependent overflow: 2 x 1e308 is inf, so index 2 is the first bad
+    # timestamp, in a batch draw and in a stream alike.
+    spec = ArrivalSpec(kind="constant", interval_ms=1e308)
+    np.testing.assert_array_equal(spec.timestamps(2, None), [0.0, 1e308])
+    with pytest.raises(TraceError, match=r"constant@1e\+308ms .*timestamp 2 is inf"):
+        spec.timestamps(3, None)
+    with pytest.raises(TraceError, match="timestamp 2 is inf"):
+        list(itertools.islice(spec.stream(None), 3))
+
+
+def test_thinning_clock_overflow_raises_instead_of_spinning():
+    # Candidate gaps of ~1e303 ms put the clock past 2**53 s at once, where
+    # every candidate lands on the curve's dark step: nothing is ever
+    # accepted, and the clock runs to inf.
+    curve = DiurnalRate.piecewise(((0.0, 0.0), (1.0, 1e-300)), period_s=2.0)
+    with pytest.raises(TraceError, match="thinning clock is inf at timestamp 0"):
+        nhpp_arrivals(curve, 10, make_rng(1))
+
+
+SWEEP = ["sweep", "--workflows", "IA", "--requests", "20", "--jobs", "1",
+         "--no-cache"]
+SERVE = ["serve", "--max-requests", "40"]
+
+
+@pytest.mark.parametrize(
+    "argv,knob",
+    [
+        (SERVE + ["--source", "diurnal@1.5e308"], "rate_per_s"),
+        (SERVE + ["--source", "poisson@8", "--faults", "storm@1e308"],
+         "multiplier"),
+        (SWEEP + ["--arrivals", "diurnal@1e-320"], "rate_per_s"),
+        (SERVE + ["--source", "diurnal@1e-320"], "rate_per_s"),
+        (SWEEP + ["--arrivals", "poisson@8", "--faults", "storm@1e9"],
+         "multiplier"),
+        (SWEEP + ["--arrivals", "poisson@1e-320"], "rate_per_s"),
+        (SERVE + ["--source", "poisson@1e-320"], "rate_per_s"),
+        (SWEEP + ["--arrivals", "constant@1e308"], r"constant@1e\+308ms"),
+        (SWEEP + ["--arrivals", "burst@1e308"], "rate_per_s"),
+        (SWEEP + ["--arrivals", "diurnal@1.5e308"], "rate_per_s"),
+    ],
+    ids=lambda v: " ".join(v[-2:]) if isinstance(v, list) else v,
+)
+def test_cli_overflowing_knobs_fail_with_their_name(argv, knob):
+    with pytest.raises((TraceError, ClusterError, ExperimentError), match=knob):
         main(argv + ["--samples", "300"])

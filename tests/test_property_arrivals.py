@@ -11,12 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rng import derive_rng
-from repro.traces.arrivals import (
-    azure_like_arrivals,
-    burst_arrivals,
-    constant_arrivals,
-    poisson_arrivals,
-)
 from repro.traces.diurnal import DiurnalRate, nhpp_arrivals
 from repro.traces.workload import ArrivalSpec
 
@@ -32,7 +26,8 @@ N_RATE = 6000
 @settings(max_examples=40, deadline=None)
 @given(rate=rates, seed=seeds)
 def test_poisson_sorted_nonnegative_and_rate(rate, seed):
-    arr = poisson_arrivals(rate, N_RATE, derive_rng(seed, "poisson"))
+    spec = ArrivalSpec(kind="poisson", rate_per_s=rate)
+    arr = spec.timestamps(N_RATE, derive_rng(seed, "poisson"))
     assert arr.shape == (N_RATE,)
     assert np.all(arr >= 0)
     assert np.all(np.diff(arr) >= 0)
@@ -51,7 +46,11 @@ def test_burst_sorted_nonnegative_and_effective_rate(
     base, burst_factor, fraction, seed
 ):
     burst = base * burst_factor
-    arr = burst_arrivals(base, burst, fraction, N_RATE, derive_rng(seed, "burst"))
+    spec = ArrivalSpec(
+        kind="burst", rate_per_s=base, burst_rate_per_s=burst,
+        burst_fraction=fraction,
+    )
+    arr = spec.timestamps(N_RATE, derive_rng(seed, "burst"))
     assert np.all(arr >= 0)
     assert np.all(np.diff(arr) >= 0)
     # Mixture mean gap: f/burst + (1-f)/base, so the effective rate is its
@@ -71,7 +70,7 @@ def test_burst_sorted_nonnegative_and_effective_rate(
     n=st.integers(min_value=1, max_value=500),
 )
 def test_constant_spacing_exact(interval, n):
-    arr = constant_arrivals(interval, n)
+    arr = ArrivalSpec(kind="constant", interval_ms=interval).timestamps(n, None)
     assert arr.shape == (n,)
     assert arr[0] == 0.0
     # Exactness guarantee: the i-th arrival is bit-exactly i * interval
@@ -88,7 +87,8 @@ def test_constant_spacing_exact(interval, n):
     seed=seeds,
 )
 def test_azure_sorted_nonnegative_and_rate(rate, sigma, seed):
-    arr = azure_like_arrivals(rate, N_RATE, derive_rng(seed, "azure"), sigma=sigma)
+    spec = ArrivalSpec(kind="azure", rate_per_s=rate, sigma=sigma)
+    arr = spec.timestamps(N_RATE, derive_rng(seed, "azure"))
     assert np.all(arr >= 0)
     assert np.all(np.diff(arr) >= 0)
     # The lognormal gaps are unit-mean by construction; moderate sigma keeps

@@ -13,7 +13,6 @@ from repro.serving import (
     EventLog,
     ServingConfig,
     ServingLoop,
-    arrival_source,
     read_events,
     run_service,
 )
@@ -42,21 +41,21 @@ class TestArrivalSources:
     ])
     def test_sorted_positive_unbounded(self, token_kind, kwargs):
         spec = ArrivalSpec(kind=token_kind, **kwargs)
-        ts = take(arrival_source(spec, rng(token_kind)), 1000)
+        ts = take(spec.stream(rng(token_kind)), 1000)
         arr = np.asarray(ts)
         assert np.all(arr >= 0) and np.all(np.diff(arr) >= 0)
 
     def test_constant_spacing_exact(self):
         spec = ArrivalSpec(kind="constant", interval_ms=25.0)
-        ts = take(arrival_source(spec, rng("const")), 10)
+        ts = take(spec.stream(rng("const")), 10)
         assert ts == [i * 25.0 for i in range(10)]
 
     def test_consumption_depth_does_not_change_the_stream(self):
         # The determinism contract: draw sizes are fixed constants, so
         # taking 10 then 1000 arrivals yields the same leading values.
         spec = ArrivalSpec(kind="diurnal", rate_per_s=8.0)
-        short = take(arrival_source(spec, rng("d")), 10)
-        long = take(arrival_source(spec, rng("d")), 1000)
+        short = take(spec.stream(rng("d")), 10)
+        long = take(spec.stream(rng("d")), 1000)
         assert long[:10] == short
 
     def test_replay_matches_batch_replay_with_wraparound(self, tmp_path):
@@ -64,7 +63,7 @@ class TestArrivalSources:
         trace = generate_workload_trace(["IA", "VA"], 40, seed=5)
         save_trace(trace, path)
         spec = ArrivalSpec(kind="replay", trace=str(path))
-        streamed = take(arrival_source(spec, rng("r"), workflow="IA"), 90)
+        streamed = take(spec.stream(rng("r"), workflow="IA"), 90)
         batch = replay_arrivals(trace, 90, workflow="IA")
         assert streamed == pytest.approx(list(batch))
 
@@ -73,8 +72,8 @@ class TestArrivalSources:
         save_trace(generate_workload_trace(["IA"], 10, seed=5), path)
         spec = ArrivalSpec(kind="replay", trace=str(path))
         with pytest.raises(TraceError, match="no records"):
-            # _replay is a generator: validation happens on first pull.
-            next(arrival_source(spec, rng("r"), workflow="VA"))
+            # The stream is a generator: validation happens on first pull.
+            next(spec.stream(rng("r"), workflow="VA"))
 
 
 class TestEventLog:
@@ -219,17 +218,17 @@ class TestServingParity:
         # and stage times AnalyticExecutor.run_request gives it.
         loop = ServingLoop(small_config(policy=policy, max_requests=80))
         served, outcomes = [], {}
-        make_request, on_complete = loop._make_request, loop._on_complete
+        serve, on_complete = loop._serve, loop._on_complete
 
-        def record_request(index, arrival_ms):
-            served.append(make_request(index, arrival_ms))
-            return served[-1]
+        async def record_request(request, rtt_ms=0.0):
+            served.append(request)
+            await serve(request, rtt_ms)
 
         def record_outcome(outcome):
             outcomes[outcome.request_id] = outcome
             on_complete(outcome)
 
-        loop._make_request = record_request
+        loop._serve = record_request
         loop._on_complete = record_outcome
         asyncio.run(loop.run())
         assert len(served) == len(outcomes) == 80

@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import TraceError
 from repro.rng import make_rng
-from repro.traces.arrivals import burst_arrivals, constant_arrivals, poisson_arrivals
 from repro.traces.azure import generate_trace, slack_analysis
 from repro.traces.diurnal import DiurnalRate, nhpp_arrivals
 from repro.traces.popularity import PopularityMix
@@ -27,38 +26,48 @@ from repro.traces.workload import (
 )
 
 
+def poisson(rate_per_s, n, rng):
+    return ArrivalSpec(kind="poisson", rate_per_s=rate_per_s).timestamps(n, rng)
+
+
 class TestArrivals:
     def test_poisson_rate(self):
-        arr = poisson_arrivals(10.0, 5000, make_rng(1))
+        arr = poisson(10.0, 5000, make_rng(1))
         mean_gap = np.diff(np.concatenate(([0.0], arr))).mean()
         assert mean_gap == pytest.approx(100.0, rel=0.1)  # 10/s -> 100 ms
 
     def test_poisson_monotone(self):
-        arr = poisson_arrivals(5.0, 100, make_rng(2))
+        arr = poisson(5.0, 100, make_rng(2))
         assert np.all(np.diff(arr) >= 0)
 
     def test_poisson_invalid(self):
         with pytest.raises(TraceError):
-            poisson_arrivals(0.0, 10, make_rng(1))
+            poisson(0.0, 10, make_rng(1))
         with pytest.raises(TraceError):
-            poisson_arrivals(1.0, 0, make_rng(1))
+            poisson(1.0, 0, make_rng(1))
 
     def test_constant(self):
-        arr = constant_arrivals(50.0, 4)
+        arr = ArrivalSpec(kind="constant", interval_ms=50.0).timestamps(4, None)
         assert list(arr) == [0.0, 50.0, 100.0, 150.0]
 
     def test_constant_invalid(self):
         with pytest.raises(TraceError):
-            constant_arrivals(-1.0, 3)
+            ArrivalSpec(kind="constant", interval_ms=-1.0)
 
     def test_burst_mixture_faster_than_base(self):
-        base = poisson_arrivals(10.0, 4000, make_rng(3))
-        bursty = burst_arrivals(10.0, 100.0, 0.5, 4000, make_rng(3))
+        base = poisson(10.0, 4000, make_rng(3))
+        bursty = ArrivalSpec(
+            kind="burst", rate_per_s=10.0, burst_rate_per_s=100.0,
+            burst_fraction=0.5,
+        ).timestamps(4000, make_rng(3))
         assert bursty[-1] < base[-1]
 
     def test_burst_invalid(self):
         with pytest.raises(TraceError):
-            burst_arrivals(1.0, 2.0, 1.5, 10, make_rng(1))
+            ArrivalSpec(
+                kind="burst", rate_per_s=1.0, burst_rate_per_s=2.0,
+                burst_fraction=1.5,
+            )
 
 
 class TestWorkload:
