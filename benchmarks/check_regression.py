@@ -44,8 +44,8 @@ GUARDED: dict[str, tuple[str, ...]] = {
     # each): its solve dominates a default sweep. The one-row rate stays
     # unguarded, and no ratio is guarded.
     "oracle": ("batched_requests_per_s",),
-    # ORION's policy build on fixed IA and VA profiles (4 builds): one
-    # build per sweep cell, the largest policy cost of a default sweep.
+    # ORION's live policy build on fixed IA and VA profiles (4 builds from
+    # a cleared plan memo): a sweep pays it once per distinct plan.
     "orion": ("builds_per_s",),
     # A fixed 2-tenant IA cell with 10k requests per tenant, end to end
     # (generation, tenant merge, two batched policy runs): the long-stream

@@ -62,6 +62,16 @@ FLEET_FAULT_KINDS = ("region-failover",)
 #: kinds require a fleet on the cell.
 FAULT_KINDS = CLUSTER_FAULT_KINDS + ("storm",) + FLEET_FAULT_KINDS
 
+#: The numeric fields each fault kind consumes (all must be finite).
+_KIND_FIELDS = {
+    "preempt": ("rate_per_min", "recovery_ms"),
+    "crash": ("at_ms",),
+    "straggler": ("fraction", "slowdown", "duration_ms", "interval_ms"),
+    "contention": ("scale",),
+    "storm": ("multiplier", "window_fraction"),
+    "region-failover": ("recovery_ms",),
+}
+
 #: Backoff a preempted invocation waits before re-acquiring a pod (ms).
 RETRY_BACKOFF_MS = 50.0
 
@@ -127,6 +137,15 @@ class FaultSpec:
             raise ClusterError(
                 f"unknown fault kind {self.kind!r}; known: {FAULT_KINDS}"
             )
+        # A NaN or infinite knob would spin the schedule compiler or the
+        # DES, yield NaN latencies, or silently never fire; only the fields
+        # the kind consumes are checked.
+        for name in _KIND_FIELDS[self.kind]:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ClusterError(
+                    f"{self.kind} fault {name} must be finite, got {value}"
+                )
         if self.kind == "preempt":
             if self.rate_per_min <= 0:
                 raise ClusterError(

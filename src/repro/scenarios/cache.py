@@ -11,12 +11,13 @@ Two layers live under one ``--cache-dir``:
   no timing and no host identity, so a repeated or overlapping sweep skips
   every already-computed cell and the replayed report stays byte-identical
   to a cold one.
-* ``dp/`` and ``hints/`` — the persistent layers behind the synthesis
-  memos (:mod:`repro.synthesis.dp`, :mod:`repro.synthesis.generator`),
-  keyed by profile content digests. :func:`configure_persistent_caches`
-  points both at the cache dir; it doubles as the process-pool worker
-  initializer so every worker shares the tables instead of re-deriving
-  them.
+* ``dp/``, ``hints/``, ``dag-hints/`` and ``orion/`` — the persistent
+  layers behind the synthesis memos (:mod:`repro.synthesis.dp`,
+  :mod:`repro.synthesis.generator`, :mod:`repro.synthesis.dag`) and the
+  ORION plan memo (:mod:`repro.policies.orion`), keyed by profile content
+  digests. :func:`configure_persistent_caches` points them at the cache
+  dir; it doubles as the process-pool worker initializer so every worker
+  shares the tables and plans instead of re-deriving them.
 
 Invalidation is purely key-based: bumping ``repro.__version__``,
 re-registering a workflow factory (epoch bump), or changing any scenario
@@ -212,61 +213,62 @@ class CellCache:
         return {"hits": self.hits, "misses": self.misses}
 
 
-def configure_persistent_caches(cache_dir: str | None) -> None:
-    """Point the DP/hints memos at disk layers under ``cache_dir``.
+#: Disk-layer subdirectories under a cache dir, in snapshot order.
+_LAYERS = ("dp", "hints", "dag-hints", "orion")
 
-    ``None`` detaches both (memory-only, the default). Top-level and
+
+def configure_persistent_caches(cache_dir: str | None) -> None:
+    """Point the DP/hints/ORION memos at disk layers under ``cache_dir``.
+
+    ``None`` detaches them all (memory-only, the default). Top-level and
     argument-picklable on purpose: the sweep backends pass it as the
     process-pool worker ``initializer`` so every worker shares the solved
-    tables through the filesystem.
+    tables and plans through the filesystem.
     """
-    from ..synthesis.dag import set_dag_hints_cache_dir
-    from ..synthesis.dp import set_dp_cache_dir
-    from ..synthesis.generator import set_hints_cache_dir
-
-    if cache_dir is None:
-        set_dp_cache_dir(None)
-        set_hints_cache_dir(None)
-        set_dag_hints_cache_dir(None)
-    else:
-        root = os.fspath(cache_dir)
-        set_dp_cache_dir(os.path.join(root, "dp"))
-        set_hints_cache_dir(os.path.join(root, "hints"))
-        set_dag_hints_cache_dir(os.path.join(root, "dag-hints"))
+    restore_persistent_caches(tuple(
+        None if cache_dir is None else os.path.join(os.fspath(cache_dir), name)
+        for name in _LAYERS
+    ))
 
 
-def snapshot_persistent_caches() -> tuple[str | None, str | None, str | None]:
-    """Current (dp, hints, dag-hints) disk-layer dirs, for
+def snapshot_persistent_caches() -> tuple[str | None, ...]:
+    """Current (dp, hints, dag-hints, orion) disk-layer dirs, for
     :func:`restore_persistent_caches`."""
+    from ..policies.orion import orion_cache_dir
     from ..synthesis.dag import dag_hints_cache_dir
     from ..synthesis.dp import dp_cache_dir
     from ..synthesis.generator import hints_cache_dir
 
-    return (dp_cache_dir(), hints_cache_dir(), dag_hints_cache_dir())
+    return (
+        dp_cache_dir(), hints_cache_dir(), dag_hints_cache_dir(),
+        orion_cache_dir(),
+    )
 
 
-def restore_persistent_caches(
-    snapshot: tuple[str | None, str | None, str | None]
-) -> None:
+def restore_persistent_caches(snapshot: tuple[str | None, ...]) -> None:
     """Re-attach the disk layers captured by :func:`snapshot_persistent_caches`.
 
     The sweep runner brackets its runs with snapshot/restore so pointing a
     sweep at a ``cache_dir`` never clobbers a configuration the caller
     installed directly through ``set_dp_cache_dir``/``set_hints_cache_dir``/
-    ``set_dag_hints_cache_dir``.
+    ``set_dag_hints_cache_dir``/``set_orion_cache_dir``.
     """
+    from ..policies.orion import set_orion_cache_dir
     from ..synthesis.dag import set_dag_hints_cache_dir
     from ..synthesis.dp import set_dp_cache_dir
     from ..synthesis.generator import set_hints_cache_dir
 
-    dp_dir, hints_dir, dag_hints_dir = snapshot
+    dp_dir, hints_dir, dag_hints_dir, orion_dir = snapshot
     set_dp_cache_dir(dp_dir)
     set_hints_cache_dir(hints_dir)
     set_dag_hints_cache_dir(dag_hints_dir)
+    set_orion_cache_dir(orion_dir)
 
 
 def synthesis_cache_stats() -> dict[str, dict[str, int]]:
-    """Current process's DP/hints memo counters (see the synthesis modules)."""
+    """Current process's DP/hints/ORION memo counters (see the synthesis
+    modules and :mod:`repro.policies.orion`)."""
+    from ..policies.orion import orion_cache_stats
     from ..synthesis.dag import dag_hints_cache_stats
     from ..synthesis.dp import dp_cache_stats
     from ..synthesis.generator import hints_cache_stats
@@ -275,6 +277,7 @@ def synthesis_cache_stats() -> dict[str, dict[str, int]]:
         "dp": dp_cache_stats(),
         "hints": hints_cache_stats(),
         "dag_hints": dag_hints_cache_stats(),
+        "orion": orion_cache_stats(),
     }
 
 

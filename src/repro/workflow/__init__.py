@@ -1,11 +1,10 @@
-"""Workflow model: DAGs, specs, requests, sub-workflows, catalog."""
+"""Workflow model: DAGs, specs, requests, catalog."""
 
 from .catalog import Workflow, intelligent_assistant, video_analytics
 from .chain import chain_dag
 from .dag import WorkflowDAG
 from .request import RequestOutcome, StageRecord, WorkflowRequest
 from .spec import chain_spec, parse_spec, parse_spec_file
-from .subworkflow import chain_suffixes, remaining_after, suffix_for_stage
 
 __all__ = [
     "WorkflowDAG",
@@ -19,7 +18,4 @@ __all__ = [
     "WorkflowRequest",
     "StageRecord",
     "RequestOutcome",
-    "chain_suffixes",
-    "suffix_for_stage",
-    "remaining_after",
 ]

@@ -105,6 +105,60 @@ def test_storm_tokens_fail_fast(token):
         parse_fault(token)
 
 
+#: Every numeric field each fault kind consumes.
+FAULT_FIELDS = [
+    ("preempt", "rate_per_min"),
+    ("preempt", "recovery_ms"),
+    ("crash", "at_ms"),
+    ("straggler", "fraction"),
+    ("straggler", "slowdown"),
+    ("straggler", "duration_ms"),
+    ("straggler", "interval_ms"),
+    ("contention", "scale"),
+    ("storm", "multiplier"),
+    ("storm", "window_fraction"),
+    ("region-failover", "recovery_ms"),
+]
+
+
+@pytest.mark.parametrize("kind,name", FAULT_FIELDS)
+@pytest.mark.parametrize("value", NON_FINITE, ids=str)
+def test_fault_spec_rejects_non_finite_fields(kind, name, value):
+    with pytest.raises(ClusterError, match=f"{kind} fault {name} must be finite"):
+        FaultSpec(kind=kind, **{name: value})
+
+
+def test_unconsumed_fault_fields_are_not_checked():
+    assert FaultSpec(kind="crash", scale=math.nan).kind == "crash"
+
+
+FAULTED_SWEEP = ["sweep", "--workflows", "IA", "--policies", "Janus",
+                 "--requests", "30", "--arrivals", "poisson@8", "--jobs", "1",
+                 "--no-cache"]
+
+
+@pytest.mark.parametrize(
+    "argv,knob",
+    [
+        # Spun in compile_fault_schedule: a NaN rate never reaches the horizon.
+        (["--executor", "cluster", "--faults", "preempt@nan"], "rate_per_min"),
+        # Spun in the DES: an infinitely slow episode never ends.
+        (["--executor", "cluster", "--faults", "straggler@0.5:inf"], "slowdown"),
+        # Exited 0 with NaN p50 and p99.
+        (["--executor", "cluster", "--faults", "contention@inf"], "scale"),
+        # Accepted silently: the crash never fires.
+        (["--executor", "cluster", "--faults", "crash@inf"], "at_ms"),
+        # Accepted silently on a fleet: a NaN outage window.
+        (["--fleet", "regions=3", "--faults", "region-failover@nan"],
+         "recovery_ms"),
+    ],
+    ids=lambda v: v[-1] if isinstance(v, list) else v,
+)
+def test_cli_non_finite_fault_knobs_fail_fast(argv, knob):
+    with pytest.raises(ClusterError, match=knob):
+        main(FAULTED_SWEEP + argv + ["--samples", "300"])
+
+
 @pytest.mark.parametrize("value", NON_FINITE + [0.0, -1.0], ids=str)
 def test_workset_scale_must_be_finite_and_positive(value):
     with pytest.raises(TraceError, match="workset_scale"):

@@ -1,8 +1,10 @@
 """Bounded-memory streaming estimators (P², Welford, windowed rates)."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ExperimentError
@@ -59,16 +61,40 @@ class TestP2Quantile:
         exact = float(np.percentile(samples, p))
         assert abs(est.value - exact) / exact < 0.01
 
-    @settings(max_examples=15, deadline=None)
-    @given(seed=seeds, q=st.sampled_from([0.5, 0.9, 0.99]))
-    def test_property_converges_to_exact(self, seed, q):
-        rng = np.random.default_rng(seed)
-        samples = rng.exponential(100.0, size=8000)
+    @staticmethod
+    def exponential_case(seed, q, n=8000):
+        samples = np.random.default_rng(seed).exponential(100.0, size=n)
         est = P2Quantile(q)
         for x in samples:
             est.add(x)
-        exact = float(np.percentile(samples, 100.0 * q))
-        assert est.value == pytest.approx(exact, rel=0.05)
+        return est.value, float(np.percentile(samples, 100.0 * q))
+
+    @staticmethod
+    def quantile_rel_se(q, n=8000):
+        """Relative standard error of the exact sample q-quantile of ``n``
+        exponential draws: ``sqrt(q(1-q)/n) / (f(x_q) x_q)``."""
+        return math.sqrt(q / ((1.0 - q) * n)) / math.log(1.0 / (1.0 - q))
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=seeds, q=st.sampled_from([0.5, 0.9, 0.99]))
+    @example(seed=712, q=0.99)  # 6.3% off at n = 8000, 0.3% at n = 64000
+    def test_property_converges_to_exact(self, seed, q):
+        # P² and the exact sample quantile both estimate the population
+        # quantile, so their gap is bounded in units of the quantile's own
+        # standard error: 4.8%, 4.4% and 7.2% at q = 0.5, 0.9 and 0.99.
+        value, exact = self.exponential_case(seed, q)
+        assert value == pytest.approx(exact, rel=3.0 * self.quantile_rel_se(q))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="P² defect at q = 0.99: the q and (1+q)/2 markers collapse "
+        "onto one height ~22% too high and stay there from n = 2000 to "
+        "64000; a step interpolated between two equal heights barely moves",
+    )
+    @pytest.mark.parametrize("seed", [170, 1147])
+    def test_extreme_quantile_lock_in(self, seed):
+        value, exact = self.exponential_case(seed, 0.99)
+        assert value == pytest.approx(exact, rel=3.0 * self.quantile_rel_se(0.99))
 
     @settings(max_examples=15, deadline=None)
     @given(seed=seeds)

@@ -1,4 +1,4 @@
-"""Units, shared types, and RNG management."""
+"""Shared types and RNG management."""
 
 import numpy as np
 import pytest
@@ -6,42 +6,6 @@ import pytest
 from repro.errors import ConfigError
 from repro.rng import RngFactory, child_seed, derive_rng, make_rng
 from repro.types import DEFAULT_PERCENTILES, PercentileGrid, ResourceLimits
-from repro.units import (
-    cores_to_millicores,
-    millicores_to_cores,
-    ms_to_seconds,
-    seconds_to_ms,
-    validate_non_negative,
-    validate_positive,
-)
-
-
-class TestUnits:
-    def test_seconds_roundtrip(self):
-        assert ms_to_seconds(seconds_to_ms(3.5)) == pytest.approx(3.5)
-
-    def test_seconds_to_ms(self):
-        assert seconds_to_ms(1.5) == 1500.0
-
-    def test_cores_roundtrip(self):
-        assert millicores_to_cores(cores_to_millicores(2.5)) == pytest.approx(2.5)
-
-    def test_cores_rounding(self):
-        assert cores_to_millicores(1.0004) == 1000
-
-    def test_validate_positive_accepts(self):
-        assert validate_positive(0.1, "x") == 0.1
-
-    def test_validate_positive_rejects_zero(self):
-        with pytest.raises(ConfigError):
-            validate_positive(0.0, "x")
-
-    def test_validate_non_negative_accepts_zero(self):
-        assert validate_non_negative(0.0, "x") == 0.0
-
-    def test_validate_non_negative_rejects(self):
-        with pytest.raises(ConfigError):
-            validate_non_negative(-1.0, "x")
 
 
 class TestResourceLimits:

@@ -1,4 +1,4 @@
-"""Workflow DAGs, specs, catalog, sub-workflows, requests."""
+"""Workflow DAGs, specs, catalog, requests."""
 
 import json
 
@@ -11,11 +11,6 @@ from repro.workflow.chain import chain_dag
 from repro.workflow.dag import WorkflowDAG
 from repro.workflow.request import RequestOutcome, StageRecord, WorkflowRequest
 from repro.workflow.spec import chain_spec, parse_spec
-from repro.workflow.subworkflow import (
-    chain_suffixes,
-    remaining_after,
-    suffix_for_stage,
-)
 from tests.conftest import make_function
 
 
@@ -233,40 +228,6 @@ class TestCatalog:
         assert wf.model("OD").name == "OD"
         with pytest.raises(WorkflowError):
             wf.model("nope")
-
-
-class TestSubworkflows:
-    def test_chain_suffixes(self):
-        assert chain_suffixes(["A", "B", "C"]) == [
-            ("A", "B", "C"), ("B", "C"), ("C",),
-        ]
-
-    def test_suffix_for_stage(self):
-        assert suffix_for_stage(["A", "B", "C"], 1) == ("B", "C")
-        with pytest.raises(WorkflowError):
-            suffix_for_stage(["A"], 5)
-
-    def test_empty_chain_rejected(self):
-        with pytest.raises(WorkflowError):
-            chain_suffixes([])
-
-    def test_remaining_after_prefix(self):
-        dag = chain_dag(["A", "B", "C"])
-        rest = remaining_after(dag, ["A"])
-        assert rest is not None and rest.nodes == ["B", "C"]
-
-    def test_remaining_after_all(self):
-        dag = chain_dag(["A", "B"])
-        assert remaining_after(dag, ["A", "B"]) is None
-
-    def test_remaining_after_non_prefix_rejected(self):
-        dag = chain_dag(["A", "B", "C"])
-        with pytest.raises(WorkflowError):
-            remaining_after(dag, ["B"])  # A unfinished but B done
-
-    def test_remaining_after_unknown_rejected(self):
-        with pytest.raises(WorkflowError):
-            remaining_after(chain_dag(["A"]), ["Z"])
 
 
 class TestRequests:
