@@ -253,9 +253,10 @@ class OrionPolicy(FixedPlanPolicy):
             )
         chain = tuple(workflow.chain)
         # Profile digests cover each table and the shared size and
-        # percentile grids; ``seed`` and ``concurrency`` are read as ints.
+        # percentile grids. ``concurrency`` stays as given, so a value no
+        # profile has still fails with the profiles' own error.
         knobs = (
-            int(concurrency), slo, int(mc_samples), int(seed), anchor,
+            concurrency, slo, int(mc_samples), int(seed), anchor,
             float(safety_margin),
         )
         key = (
