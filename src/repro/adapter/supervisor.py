@@ -23,6 +23,7 @@ from collections import deque
 import numpy as np
 
 from ..errors import AdapterError
+from ..knobs import FRACTION, at_least, check_args
 
 __all__ = ["HitMissSupervisor"]
 
@@ -45,26 +46,25 @@ class HitMissSupervisor:
         then fit inside the window.
     """
 
+    #: Constructor knob domains (``ServingConfig`` reuses two).
+    KNOBS = {
+        "miss_threshold": FRACTION,
+        "min_samples": at_least(1),
+        "window": at_least(1).or_none,
+    }
+
     def __init__(
         self,
         miss_threshold: float = 0.01,
         min_samples: int = 100,
         window: int | None = None,
     ) -> None:
-        if not 0.0 < miss_threshold <= 1.0:
+        check_args(AdapterError, HitMissSupervisor, locals())
+        if window is not None and min_samples > window:
             raise AdapterError(
-                f"miss threshold must be in (0, 1], got {miss_threshold}"
+                f"min_samples ({min_samples}) cannot exceed the "
+                f"window ({window}): the trigger could never fire"
             )
-        if min_samples < 1:
-            raise AdapterError(f"min_samples must be >= 1, got {min_samples}")
-        if window is not None:
-            if window < 1:
-                raise AdapterError(f"window must be >= 1, got {window}")
-            if min_samples > window:
-                raise AdapterError(
-                    f"min_samples ({min_samples}) cannot exceed the "
-                    f"window ({window}): the trigger could never fire"
-                )
         self.miss_threshold = float(miss_threshold)
         self.min_samples = int(min_samples)
         self.window = int(window) if window is not None else None

@@ -14,8 +14,12 @@ Usage::
     janus-repro serve --source replay@day.jsonl --max-requests 5000 \
         --snapshot-out snapshot.json --event-log events.jsonl
     janus-repro profile IA --out ia-profiles.json
-    janus-repro synthesize ia-profiles.json --slo 3000 --out ia-hints.json
+    janus-repro synthesize ia-profiles.json --tmin 700 --tmax 3000 \
+        --out ia-hints.json
     janus-repro inspect ia-hints.json
+
+Any :class:`~repro.errors.ReproError` ends the command with one
+``janus-repro: error: <message>`` line on stderr and exit status 1.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import sys
 import time
 import typing as _t
 
+from .errors import ReproError
 from .experiments.registry import EXPERIMENTS, list_experiments, run_experiment
 
 __all__ = ["main", "build_parser"]
@@ -361,7 +366,19 @@ def _params_for(exp_id: str, args: argparse.Namespace) -> dict[str, _t.Any]:
 
 def main(argv: _t.Sequence[str] | None = None) -> int:
     """CLI entry point."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "synthesize" and (args.tmin is None) != (args.tmax is None):
+        missing = "--tmax" if args.tmax is None else "--tmin"
+        parser.error(f"synthesize needs {missing} too: a budget takes both bounds")
+    try:
+        return _run(args)
+    except ReproError as exc:
+        print(f"janus-repro: error: {exc}", file=sys.stderr)
+        return 1
+
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "list":
         for exp_id, desc in list_experiments():
             print(f"{exp_id:20s} {desc}")
@@ -699,7 +716,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         else profiles.functions()
     )
     budget = None
-    if args.tmin is not None and args.tmax is not None:
+    if args.tmin is not None:
         budget = BudgetRange(args.tmin, args.tmax)
     exploration = {
         "none": HeadExploration.NONE,

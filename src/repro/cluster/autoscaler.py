@@ -14,6 +14,7 @@ import typing as _t
 import numpy as np
 
 from ..errors import ClusterError
+from ..knobs import FRACTION, Domain, at_least, check_args
 from ..sim.engine import Simulator
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -25,6 +26,16 @@ __all__ = ["HorizontalAutoscaler"]
 class HorizontalAutoscaler:
     """Periodic controller adjusting per-function warm-pool targets."""
 
+    #: Constructor knob domains (``ClusterConfig`` reuses two). The 1 ms
+    #: floor keeps the DES clock moving: a tick under its float resolution
+    #: never advances it, and sub-millisecond ticks flood it with events.
+    KNOBS = {
+        "interval_ms": Domain(lo=1.0, lo_open=False),
+        "headroom": Domain(lo=1.0, lo_open=False),
+        "ewma_alpha": FRACTION,
+        "min_warm": at_least(0),
+    }
+
     def __init__(
         self,
         sim: Simulator,
@@ -34,14 +45,7 @@ class HorizontalAutoscaler:
         ewma_alpha: float = 0.5,
         min_warm: int = 1,
     ) -> None:
-        if interval_ms <= 0:
-            raise ClusterError(f"interval must be > 0, got {interval_ms}")
-        if headroom < 1.0:
-            raise ClusterError(f"headroom must be >= 1, got {headroom}")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ClusterError(f"alpha must be in (0, 1], got {ewma_alpha}")
-        if min_warm < 0:
-            raise ClusterError(f"min_warm must be >= 0, got {min_warm}")
+        check_args(ClusterError, HorizontalAutoscaler, locals())
         self.sim = sim
         self.pool = pool
         self.interval_ms = float(interval_ms)

@@ -29,10 +29,11 @@ import typing as _t
 from dataclasses import dataclass
 
 from ..errors import ClusterError
+from ..knobs import FRACTION, NON_NEGATIVE, POSITIVE, Domain, check, knob
 from ..rng import make_rng
 from ..sim.engine import Simulator
 from ..sim.events import Event
-from ..traces.diurnal import MAX_STORM_MULTIPLIER
+from ..traces.diurnal import STORM_MULTIPLIER
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from .pool import PoolManager
@@ -62,7 +63,7 @@ FLEET_FAULT_KINDS = ("region-failover",)
 #: kinds require a fleet on the cell.
 FAULT_KINDS = CLUSTER_FAULT_KINDS + ("storm",) + FLEET_FAULT_KINDS
 
-#: The numeric fields each fault kind consumes (all must be finite).
+#: The numeric fields each fault kind consumes (the ones checked).
 _KIND_FIELDS = {
     "preempt": ("rate_per_min", "recovery_ms"),
     "crash": ("at_ms",),
@@ -74,6 +75,10 @@ _KIND_FIELDS = {
 
 #: Backoff a preempted invocation waits before re-acquiring a pod (ms).
 RETRY_BACKOFF_MS = 50.0
+
+#: The most events a schedule may expect over its horizon: the compiler
+#: draws them one by one, so an astronomical horizon x rate never finishes.
+MAX_EXPECTED_FAULT_EVENTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -116,83 +121,44 @@ class FaultSpec:
 
     kind: str
     #: preempt: fleet-wide preemption rate and per-event downtime.
-    rate_per_min: float = 2.0
-    recovery_ms: float = 5000.0
+    rate_per_min: float = knob(POSITIVE, 2.0)
+    recovery_ms: float = knob(POSITIVE, 5000.0)
     #: crash: permanent failure time.
-    at_ms: float = 5000.0
+    at_ms: float = knob(NON_NEGATIVE, 5000.0)
     #: storm: rate multiplier and window width (fraction of the period).
-    multiplier: float = 6.0
-    window_fraction: float = 0.15
+    multiplier: float = knob(STORM_MULTIPLIER, 6.0)
+    window_fraction: float = knob(FRACTION, 0.15)
     #: straggler: affected fleet fraction, slowdown and episode shape.
-    fraction: float = 0.25
-    slowdown: float = 3.0
-    duration_ms: float = 5000.0
-    interval_ms: float = 20000.0
+    fraction: float = knob(FRACTION, 0.25)
+    slowdown: float = knob(Domain(lo=1.0), 3.0)
+    duration_ms: float = knob(POSITIVE, 5000.0)
+    interval_ms: float = knob(POSITIVE, 20000.0)
     #: contention: weight of one busy other-function neighbour relative to
     #: a same-function one.
-    scale: float = 0.5
+    scale: float = knob(NON_NEGATIVE, 0.5)
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise ClusterError(
                 f"unknown fault kind {self.kind!r}; known: {FAULT_KINDS}"
             )
-        # A NaN or infinite knob would spin the schedule compiler or the
-        # DES, yield NaN latencies, or silently never fire; only the fields
-        # the kind consumes are checked.
-        for name in _KIND_FIELDS[self.kind]:
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ClusterError(
-                    f"{self.kind} fault {name} must be finite, got {value}"
-                )
+        check(self, ClusterError, _KIND_FIELDS[self.kind])
+
+    def check_event_budget(self, horizon_ms: float) -> None:
+        """Raise unless the schedule over ``horizon_ms`` expects at most
+        :data:`MAX_EXPECTED_FAULT_EVENTS` events (horizon x rate)."""
         if self.kind == "preempt":
-            if self.rate_per_min <= 0:
-                raise ClusterError(
-                    f"preemption rate must be > 0/min, got {self.rate_per_min}"
-                )
-            if self.recovery_ms <= 0:
-                raise ClusterError(
-                    f"recovery must be > 0 ms, got {self.recovery_ms}"
-                )
-        elif self.kind == "crash":
-            if self.at_ms < 0:
-                raise ClusterError(f"crash time must be >= 0, got {self.at_ms}")
-        elif self.kind == "storm":
-            if not 1.0 < self.multiplier <= MAX_STORM_MULTIPLIER:
-                raise ClusterError(
-                    f"storm multiplier must be finite and in "
-                    f"(1, {MAX_STORM_MULTIPLIER:g}], got {self.multiplier}"
-                )
-            if not 0.0 < self.window_fraction <= 1.0:
-                raise ClusterError(
-                    f"storm window fraction must be in (0, 1], got "
-                    f"{self.window_fraction}"
-                )
+            name, expected = "rate_per_min", horizon_ms * self.rate_per_min / 60_000.0
         elif self.kind == "straggler":
-            if not 0.0 < self.fraction <= 1.0:
-                raise ClusterError(
-                    f"straggler fraction must be in (0, 1], got {self.fraction}"
-                )
-            if self.slowdown <= 1.0:
-                raise ClusterError(
-                    f"straggler slowdown must be > 1, got {self.slowdown}"
-                )
-            if self.duration_ms <= 0 or self.interval_ms <= 0:
-                raise ClusterError(
-                    f"straggler episodes need duration and interval > 0 ms, "
-                    f"got {self.duration_ms}/{self.interval_ms}"
-                )
-        elif self.kind == "contention":
-            if self.scale < 0:
-                raise ClusterError(
-                    f"contention scale must be >= 0, got {self.scale}"
-                )
-        elif self.kind == "region-failover":
-            if self.recovery_ms <= 0:
-                raise ClusterError(
-                    f"region outage must last > 0 ms, got {self.recovery_ms}"
-                )
+            name, expected = "interval_ms", horizon_ms / self.interval_ms
+        else:
+            return
+        if not expected <= MAX_EXPECTED_FAULT_EVENTS:
+            raise ClusterError(
+                f"FaultSpec.{name}={getattr(self, name)} expects {expected:.3g} "
+                f"{self.kind} events over the {horizon_ms:g} ms fault horizon; "
+                f"at most {MAX_EXPECTED_FAULT_EVENTS} are allowed"
+            )
 
     @property
     def label(self) -> str:
@@ -237,35 +203,12 @@ def parse_fault(text: str) -> FaultSpec:
         b = float(second) if second.strip() else None
     except ValueError:
         raise ClusterError(f"invalid fault operand in {text!r}")
-    if kind == "preempt":
-        fields: dict[str, float] = {}
-        if a is not None:
-            fields["rate_per_min"] = a
-        if b is not None:
-            fields["recovery_ms"] = b
-        return FaultSpec(kind="preempt", **fields)
-    if kind == "crash":
-        return FaultSpec(kind="crash", **({} if a is None else {"at_ms": a}))
-    if kind == "storm":
-        fields = {}
-        if a is not None:
-            fields["multiplier"] = a
-        if b is not None:
-            fields["window_fraction"] = b
-        return FaultSpec(kind="storm", **fields)
-    if kind == "straggler":
-        if a is None or b is None:
-            raise ClusterError(
-                f"straggler wants FRACTION:SLOWDOWN, got {text!r}"
-            )
-        return FaultSpec(kind="straggler", fraction=a, slowdown=b)
-    if kind == "region-failover":
-        return FaultSpec(
-            kind="region-failover",
-            **({} if a is None else {"recovery_ms": a}),
-        )
+    if kind == "straggler" and (a is None or b is None):
+        raise ClusterError(f"straggler wants FRACTION:SLOWDOWN, got {text!r}")
+    # The operands fill the kind's first one or two fields in order.
+    operands = zip(_KIND_FIELDS[kind][:2], (a, b))
     return FaultSpec(
-        kind="contention", **({} if a is None else {"scale": a})
+        kind=kind, **{name: v for name, v in operands if v is not None}
     )
 
 
@@ -300,6 +243,7 @@ def compile_fault_schedule(
         raise ClusterError(f"need >= 1 VM, got {n_vms}")
     if horizon_ms <= 0:
         raise ClusterError(f"horizon must be > 0 ms, got {horizon_ms}")
+    spec.check_event_budget(horizon_ms)
     rng = make_rng(seed)
     events: list[FaultEvent] = []
     if spec.kind == "crash":

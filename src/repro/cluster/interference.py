@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as _np
 
 from ..errors import ClusterError
+from ..knobs import NON_NEGATIVE, POSITIVE, check, knob
 from ..functions.model import Resource
 
 __all__ = ["InterferenceModel", "DEFAULT_COEFFICIENTS"]
@@ -27,12 +28,11 @@ __all__ = ["InterferenceModel", "DEFAULT_COEFFICIENTS"]
 
 @dataclass(frozen=True)
 class _Coeff:
-    a: float
-    b: float
+    a: float = knob(NON_NEGATIVE)
+    b: float = knob(POSITIVE)
 
     def __post_init__(self) -> None:
-        if self.a < 0 or self.b <= 0:
-            raise ClusterError(f"invalid interference coefficients a={self.a} b={self.b}")
+        check(self, ClusterError)
 
 
 DEFAULT_COEFFICIENTS: dict[Resource, _Coeff] = {

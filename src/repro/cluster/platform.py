@@ -20,12 +20,12 @@ processes joined per node — not just the critical-path chain.
 
 from __future__ import annotations
 
-import numbers as _numbers
 import typing as _t
 from dataclasses import dataclass, fields as _dc_fields, replace
 
 from ..errors import ClusterError
 from ..functions.model import InvocationDynamics
+from ..knobs import at_least, check, knob
 from ..policies.base import SizingPolicy
 from ..runtime.registry import register_executor
 from ..runtime.results import RunResult, collect_policy_extras
@@ -65,37 +65,24 @@ class ClusterConfig:
     (Xeon Platinum 8269CY, 52 physical cores) split into 13-core VMs.
     """
 
-    n_vms: int = 4
-    vm_capacity_millicores: Millicores = 13_000
-    warm_pool_size: int = 2
+    n_vms: int = knob(at_least(1), 4)
+    vm_capacity_millicores: Millicores = knob(at_least(1), 13_000)
+    warm_pool_size: int = knob(PoolManager.KNOBS["warm_pool_size"], 2)
     #: Idle pods expire after this TTL (None = keep forever).
-    keepalive_ms: float | None = None
+    keepalive_ms: float | None = knob(PoolManager.KNOBS["keepalive_ms"], None)
     autoscale: bool = True
-    autoscaler_interval_ms: float = 1000.0
+    autoscaler_interval_ms: float = knob(
+        HorizontalAutoscaler.KNOBS["interval_ms"], 1000.0
+    )
     #: Warm-target floor the autoscaler may decay to (0 = scale to zero).
-    min_warm: int = 1
+    min_warm: int = knob(HorizontalAutoscaler.KNOBS["min_warm"], 1)
     colocate_same_function: bool = True
 
     def __post_init__(self) -> None:
-        # Count-like fields must be genuine integers at construction: a
-        # float n_vms crashes `range()` deep inside a pool worker and a
-        # float warm_pool_size silently truncates — fail here instead.
-        # numbers.Integral keeps integer-like types (numpy ints) working.
-        for fname in ("n_vms", "vm_capacity_millicores", "warm_pool_size",
-                      "min_warm"):
-            value = getattr(self, fname)
-            if not isinstance(value, _numbers.Integral) or isinstance(
-                value, bool
-            ):
-                raise ClusterError(
-                    f"{fname} must be an integer, got {value!r}"
-                )
-        if self.n_vms <= 0:
-            raise ClusterError(f"n_vms must be > 0, got {self.n_vms}")
-        if self.vm_capacity_millicores <= 0:
-            raise ClusterError("vm capacity must be > 0")
-        if self.min_warm < 0:
-            raise ClusterError(f"min_warm must be >= 0, got {self.min_warm}")
+        # Count-like fields are genuine integers (numpy ints too): a float
+        # n_vms would crash `range()` deep inside a pool worker and a float
+        # warm_pool_size would silently truncate.
+        check(self, ClusterError)
 
     def check_workflow(self, workflow: Workflow) -> None:
         """Raise unless a VM can hold ``workflow``'s largest pod.

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 from ..errors import ClusterError
 from ..functions.model import FunctionModel
+from ..knobs import NON_NEGATIVE, at_least, check_args
 from ..sim.engine import Simulator
 from ..sim.events import Event, Timeout
 from ..types import Millicores
@@ -65,6 +66,10 @@ class _Pending:
 class PoolManager:
     """Creates, warms, parks and reclaims function pods across VMs."""
 
+    #: Constructor knob domains (``ClusterConfig`` reuses them);
+    #: ``keepalive_ms=None`` parks pods forever.
+    KNOBS = {"warm_pool_size": at_least(0), "keepalive_ms": NON_NEGATIVE.or_none}
+
     def __init__(
         self,
         sim: Simulator,
@@ -76,10 +81,7 @@ class PoolManager:
     ) -> None:
         if not vms:
             raise ClusterError("pool manager needs at least one VM")
-        if warm_pool_size < 0:
-            raise ClusterError(f"warm pool size must be >= 0: {warm_pool_size}")
-        if keepalive_ms is not None and keepalive_ms < 0:
-            raise ClusterError(f"keepalive must be >= 0: {keepalive_ms}")
+        check_args(ClusterError, PoolManager, locals())
         self.sim = sim
         self.vms = list(vms)
         self.functions = dict(functions)

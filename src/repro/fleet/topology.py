@@ -15,10 +15,12 @@ configuration.
 
 from __future__ import annotations
 
+import math
 import typing as _t
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ExperimentError
+from ..knobs import NON_NEGATIVE, POSITIVE, at_least, check, knob
 
 __all__ = ["FleetConfig", "RegionTopology", "parse_fleet"]
 
@@ -93,9 +95,9 @@ class FleetConfig:
 
     regions: tuple[str, ...] = _DEFAULT_REGION_NAMES[:3]
     routing: str = "home-region"
-    capacity: int = 8
-    rtt_ms: float = 60.0
-    weights: tuple[float, ...] = field(default=())
+    capacity: int = knob(at_least(1), 8)
+    rtt_ms: float = knob(NON_NEGATIVE, 60.0)
+    weights: tuple[float, ...] = knob(POSITIVE, (), each=True)
 
     def __post_init__(self) -> None:
         if not self.regions:
@@ -115,22 +117,17 @@ class FleetConfig:
                 f"unknown routing policy {self.routing!r}; "
                 f"known: {sorted(ROUTING_POLICIES)}"
             )
-        if self.capacity < 1:
+        check(self, ExperimentError)
+        if self.weights and len(self.weights) != len(self.regions):
             raise ExperimentError(
-                f"region capacity must be >= 1, got {self.capacity}"
+                f"{len(self.weights)} weights for {len(self.regions)} regions"
             )
-        if self.rtt_ms < 0:
-            raise ExperimentError(f"rtt must be >= 0 ms, got {self.rtt_ms}")
-        if self.weights:
-            if len(self.weights) != len(self.regions):
-                raise ExperimentError(
-                    f"{len(self.weights)} weights for "
-                    f"{len(self.regions)} regions"
-                )
-            if any(w <= 0 for w in self.weights):
-                raise ExperimentError(
-                    f"weights must be > 0, got {list(self.weights)}"
-                )
+        farthest_ms = self.rtt_ms * (len(self.regions) // 2)  # ring hops
+        if not farthest_ms < math.inf:
+            raise ExperimentError(
+                f"FleetConfig.rtt_ms={self.rtt_ms} gives the ring's farthest "
+                f"regions an RTT of {farthest_ms:g} ms; it must be finite"
+            )
 
     @property
     def label(self) -> str:
@@ -144,6 +141,14 @@ class FleetConfig:
     def effective_weights(self) -> tuple[float, ...]:
         """Routing weights, defaulting to uniform."""
         return self.weights if self.weights else (1.0,) * len(self.regions)
+
+
+#: Numeric ``--fleet`` keys: the field each sets and how its text parses.
+_NUMERIC_KNOBS: dict[str, tuple[str, _t.Callable[[str], _t.Any]]] = {
+    "capacity": ("capacity", int),
+    "rtt": ("rtt_ms", float),
+    "weights": ("weights", lambda raw: tuple(map(float, raw.split(":")))),
+}
 
 
 def parse_fleet(text: str) -> FleetConfig:
@@ -189,23 +194,12 @@ def parse_fleet(text: str) -> FleetConfig:
                 overrides["regions"] = _DEFAULT_REGION_NAMES[:count]
         elif key == "routing":
             overrides["routing"] = raw.lower()
-        elif key == "capacity":
+        elif key in _NUMERIC_KNOBS:
+            name, parse = _NUMERIC_KNOBS[key]
             try:
-                overrides["capacity"] = int(raw)
+                overrides[name] = parse(raw)
             except ValueError:
-                raise ExperimentError(f"invalid capacity {raw!r}")
-        elif key == "rtt":
-            try:
-                overrides["rtt_ms"] = float(raw)
-            except ValueError:
-                raise ExperimentError(f"invalid rtt {raw!r}")
-        elif key == "weights":
-            try:
-                overrides["weights"] = tuple(
-                    float(w) for w in raw.split(":")
-                )
-            except ValueError:
-                raise ExperimentError(f"invalid weights {raw!r}")
+                raise ExperimentError(f"invalid {key} {raw!r}")
         else:
             raise ExperimentError(
                 f"unknown fleet knob {key!r}; "

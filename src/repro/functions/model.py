@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import FunctionModelError
+from ..knobs import NON_NEGATIVE, at_least, check, knob
 from ..types import Millicores
 from .worksets import FixedWorkset, WorksetDistribution
 
@@ -98,34 +99,23 @@ class FunctionModel:
     """A serverless function's performance model and metadata."""
 
     name: str
-    serial_ms: float
-    parallel_ms: float
-    sigma: float = 0.15
+    serial_ms: float = knob(NON_NEGATIVE)
+    parallel_ms: float = knob(NON_NEGATIVE)
+    sigma: float = knob(NON_NEGATIVE, 0.15)
     workset: WorksetDistribution = field(default_factory=FixedWorkset)
-    workset_gamma: float = 0.0
-    batch_eta: float = 0.35
+    workset_gamma: float = knob(NON_NEGATIVE, 0.0)
+    batch_eta: float = knob(NON_NEGATIVE, 0.35)
     batchable: bool = True
     dominant_resource: Resource = Resource.CPU
-    cold_start_ms: float = 500.0
-    memory_mb: int = 512
+    cold_start_ms: float = knob(NON_NEGATIVE, 500.0)
+    memory_mb: int = knob(at_least(1), 512)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise FunctionModelError("function name may not be empty")
-        if self.serial_ms < 0 or self.parallel_ms < 0:
-            raise FunctionModelError(
-                f"{self.name}: serial/parallel work must be >= 0"
-            )
+        check(self, FunctionModelError)
         if self.serial_ms + self.parallel_ms <= 0:
             raise FunctionModelError(f"{self.name}: total work must be > 0")
-        if self.sigma < 0:
-            raise FunctionModelError(f"{self.name}: sigma must be >= 0")
-        if self.workset_gamma < 0:
-            raise FunctionModelError(f"{self.name}: gamma must be >= 0")
-        if self.batch_eta < 0:
-            raise FunctionModelError(f"{self.name}: batch_eta must be >= 0")
-        if self.cold_start_ms < 0:
-            raise FunctionModelError(f"{self.name}: cold_start_ms must be >= 0")
 
     # -- deterministic pieces ---------------------------------------------
     def base_time(self, k: Millicores) -> float:

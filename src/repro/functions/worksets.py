@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import FunctionModelError
+from ..knobs import INTEGER, NON_NEGATIVE, POSITIVE, Domain, at_least, check, knob
 
 __all__ = [
     "WorksetDistribution",
@@ -60,11 +61,10 @@ class WorksetDistribution(abc.ABC):
 class FixedWorkset(WorksetDistribution):
     """Degenerate distribution: every invocation sees the same input size."""
 
-    value: float = 1.0
+    value: float = knob(POSITIVE, 1.0)
 
     def __post_init__(self) -> None:
-        if self.value <= 0:
-            raise FunctionModelError(f"workset value must be > 0: {self.value}")
+        check(self, FunctionModelError)
 
     @property
     def reference(self) -> float:
@@ -87,11 +87,12 @@ class FixedWorkset(WorksetDistribution):
 class UniformIntWorkset(WorksetDistribution):
     """Uniform integer sizes in [lo, hi] (e.g. objects per COCO image)."""
 
-    lo: int
-    hi: int
+    lo: int = knob(at_least(1))
+    hi: int = knob(INTEGER)
 
     def __post_init__(self) -> None:
-        if self.lo <= 0 or self.hi < self.lo:
+        check(self, FunctionModelError)
+        if self.hi < self.lo:
             raise FunctionModelError(f"invalid range [{self.lo}, {self.hi}]")
 
     @property
@@ -123,11 +124,12 @@ class LogUniformWorkset(WorksetDistribution):
     most passages are short, a few are near the maximum.
     """
 
-    lo: float
-    hi: float
+    lo: float = knob(POSITIVE)
+    hi: float = knob(POSITIVE)
 
     def __post_init__(self) -> None:
-        if self.lo <= 0 or self.hi <= self.lo:
+        check(self, FunctionModelError)
+        if self.hi <= self.lo:
             raise FunctionModelError(f"invalid range [{self.lo}, {self.hi}]")
 
     @property
@@ -158,15 +160,13 @@ class LogUniformWorkset(WorksetDistribution):
 class LognormalWorkset(WorksetDistribution):
     """Lognormal sizes (e.g. video/blob sizes with heavy upper tail)."""
 
-    median: float
-    sigma: float
-    clip_hi: float = float("inf")
+    median: float = knob(POSITIVE)
+    sigma: float = knob(NON_NEGATIVE)
+    #: ``inf`` leaves the upper tail unclipped.
+    clip_hi: float = knob(Domain(lo=0.0, hi_open=False), float("inf"))
 
     def __post_init__(self) -> None:
-        if self.median <= 0:
-            raise FunctionModelError(f"median must be > 0: {self.median}")
-        if self.sigma < 0:
-            raise FunctionModelError(f"sigma must be >= 0: {self.sigma}")
+        check(self, FunctionModelError)
         if self.clip_hi <= self.median:
             raise FunctionModelError(
                 f"clip_hi {self.clip_hi} must exceed median {self.median}"

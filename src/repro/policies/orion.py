@@ -33,6 +33,7 @@ import os
 import numpy as np
 
 from ..errors import PolicyError
+from ..knobs import FINITE, INTEGER, PERCENTILE, Domain, at_least, check_args
 from ..persist import DiskBackedMemo, atomic_write_bytes
 from ..profiling.profiles import ProfileSet
 from ..rng import derive_rng
@@ -222,6 +223,15 @@ class OrionPolicy(FixedPlanPolicy):
     over the memoised plan, with the live build's ``e2e_p99_ms`` bits.
     """
 
+    #: Constructor knob domains.
+    KNOBS = {
+        "slo_ms": FINITE.or_none,
+        "mc_samples": at_least(1),
+        "seed": INTEGER,
+        "target_percentile": PERCENTILE.or_none,
+        "safety_margin": Domain(0.0, 1.0, lo_open=False),
+    }
+
     def __init__(
         self,
         workflow: Workflow,
@@ -233,24 +243,13 @@ class OrionPolicy(FixedPlanPolicy):
         target_percentile: float | None = None,
         safety_margin: float = 0.10,
     ) -> None:
-        if not 0.0 <= safety_margin < 1.0:
-            raise PolicyError(f"safety margin must be in [0, 1): {safety_margin}")
-        if not isinstance(mc_samples, (int, np.integer)) or mc_samples < 1:
-            raise PolicyError(
-                f"ORION: mc_samples must be an integer >= 1: {mc_samples!r}"
-            )
+        check_args(PolicyError, OrionPolicy, locals())
         slo = float(slo_ms if slo_ms is not None else workflow.slo_ms)
-        if not math.isfinite(slo):
-            raise PolicyError(f"ORION: slo_ms must be finite: {slo}")
         anchor = float(
             target_percentile
             if target_percentile is not None
             else profiles.percentiles.anchor
         )
-        if not 0.0 <= anchor <= 100.0:
-            raise PolicyError(
-                f"ORION: target_percentile must be in [0, 100]: {anchor}"
-            )
         chain = tuple(workflow.chain)
         # Profile digests cover each table and the shared size and
         # percentile grids. ``concurrency`` stays as given, so a value no

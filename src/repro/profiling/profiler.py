@@ -22,12 +22,17 @@ import numpy as np
 
 from ..errors import ProfileError
 from ..functions.model import FunctionModel
+from ..knobs import at_least, check, knob
 from ..rng import RngFactory
 from ..types import PercentileGrid, ResourceLimits
 from ..workflow.catalog import Workflow
 from .profiles import LatencyProfile, ProfileSet
 
-__all__ = ["ProfilerConfig", "Profiler", "profile_workflow"]
+__all__ = ["PROFILE_SAMPLES", "ProfilerConfig", "Profiler", "profile_workflow"]
+
+#: Samples per grid point: at least 100 for stable percentiles (every
+#: config that profiles declares its ``samples`` knob with this domain).
+PROFILE_SAMPLES = at_least(100)
 
 InterferenceSampler = _t.Callable[[np.random.Generator, int], np.ndarray]
 
@@ -48,15 +53,11 @@ class ProfilerConfig:
     limits: ResourceLimits = field(default_factory=ResourceLimits)
     percentiles: PercentileGrid = field(default_factory=PercentileGrid)
     concurrencies: tuple[int, ...] = (1,)
-    samples: int = 2000
+    samples: int = knob(PROFILE_SAMPLES, 2000)
     enforce_monotone: bool = True
 
     def __post_init__(self) -> None:
-        if self.samples < 100:
-            raise ProfileError(
-                f"at least 100 samples required for stable percentiles, "
-                f"got {self.samples}"
-            )
+        check(self, ProfileError)
         if not self.concurrencies or self.concurrencies[0] != 1:
             raise ProfileError(
                 f"concurrencies must start at 1, got {self.concurrencies}"

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import typing as _t
 from dataclasses import dataclass, field, replace
 
@@ -12,6 +11,8 @@ from ..cluster.faults import CLUSTER_FAULT_KINDS, FaultSpec, parse_fault
 from ..cluster.platform import ClusterConfig
 from ..errors import ClusterError, ExperimentError, TraceError
 from ..fleet.topology import FleetConfig, parse_fleet
+from ..knobs import INTEGER, POSITIVE, at_least, check, knob
+from ..profiling.profiler import PROFILE_SAMPLES
 from ..rng import child_seed
 from ..traces.workload import ArrivalSpec
 from ..workflow.catalog import Workflow
@@ -177,13 +178,13 @@ class Scenario:
 
     workflow: str
     arrival: ArrivalSpec
-    slo_scale: float
-    tenants: int
+    slo_scale: float = knob(POSITIVE)
+    tenants: int = knob(at_least(1))
     policies: tuple[str, ...]
-    n_requests: int
-    samples: int
-    seed: int
-    profile_seed: int
+    n_requests: int = knob(at_least(1))
+    samples: int = knob(PROFILE_SAMPLES)
+    seed: int = knob(INTEGER)
+    profile_seed: int = knob(INTEGER)
     baseline: str | None = None
     #: Optional pinned synthesis budget ``(tmin_ms, tmax_ms)`` — e.g. the
     #: paper's per-workflow ranges. ``None`` derives the Eq. 3 range from
@@ -221,16 +222,7 @@ class Scenario:
     fleet: FleetConfig | None = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.slo_scale < math.inf:
-            raise ExperimentError(
-                f"slo_scale must be finite and > 0, got {self.slo_scale}"
-            )
-        if self.tenants < 1:
-            raise ExperimentError(f"tenants must be >= 1, got {self.tenants}")
-        if self.n_requests < 1:
-            raise ExperimentError(
-                f"n_requests must be >= 1, got {self.n_requests}"
-            )
+        check(self, ExperimentError)
         if not self.policies:
             raise ExperimentError("scenario requires at least one policy")
         # Scenarios are public API and may be built without a matrix, so
@@ -395,9 +387,9 @@ class ScenarioMatrix:
     slo_scales: tuple[float, ...] = (1.0,)
     tenant_counts: tuple[int, ...] = (1,)
     policies: tuple[str, ...] = DEFAULT_SWEEP_POLICIES
-    n_requests: int = 200
-    samples: int = 1000
-    seed: int = 2025
+    n_requests: int = knob(at_least(1), 200)
+    samples: int = knob(PROFILE_SAMPLES, 1000)
+    seed: int = knob(INTEGER, 2025)
     baseline: str | None = field(default=None)
     #: Optional per-workflow pinned synthesis budgets
     #: ``{workflow: (tmin_ms, tmax_ms)}`` — workflows absent from the map
@@ -429,6 +421,7 @@ class ScenarioMatrix:
     fleets: tuple[FleetConfig | None, ...] = (None,)
 
     def __post_init__(self) -> None:
+        check(self, ExperimentError)
         for axis, values in (
             ("workflows", self.workflows),
             ("arrivals", self.effective_arrivals()),

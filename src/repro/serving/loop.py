@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import math
 import time
 import typing as _t
 from collections import deque
@@ -38,11 +37,14 @@ from ..errors import ExperimentError
 from ..fleet.routing import StreamRouter
 from ..fleet.runner import fleet_arrival_source, region_arrival
 from ..fleet.topology import FleetConfig
+from ..knobs import (
+    INTEGER, NON_NEGATIVE, POSITIVE, Domain, at_least, check, knob, require,
+)
 from ..metrics.streaming import StreamingMoments, StreamingSummary, WindowedRate
 from ..adapter.supervisor import HitMissSupervisor
 from ..policies.registry import JANUS_EXPLORATIONS, POLICIES
 from ..profiling.profiles import LatencyProfile, ProfileSet
-from ..profiling.profiler import profile_workflow
+from ..profiling.profiler import PROFILE_SAMPLES, profile_workflow
 from ..rng import RngFactory, child_seed
 from ..runtime.executor import AnalyticExecutor
 from ..scenarios.registry import scenario_workflow
@@ -79,20 +81,23 @@ class ServingConfig:
     source: ArrivalSpec = field(
         default_factory=lambda: ArrivalSpec(kind="poisson", rate_per_s=50.0)
     )
-    seed: int = 0
-    samples: int = 2000
-    slo_scale: float = 1.0
-    max_requests: int | None = None
-    max_seconds: float | None = None
-    time_scale: float = 0.0
-    metrics_every: int = 500
-    percentiles: tuple[float, ...] = (50.0, 95.0, 99.0)
-    slo_window: int = 1000
-    miss_threshold: float = 0.01
-    miss_window: int = 200
-    min_samples: int = 50
+    seed: int = knob(INTEGER, 0)
+    samples: int = knob(PROFILE_SAMPLES, 2000)
+    slo_scale: float = knob(POSITIVE, 1.0)
+    max_requests: int | None = knob(at_least(1).or_none, None)
+    #: ``inf`` (with no ``max_requests``) serves forever.
+    max_seconds: float | None = knob(Domain(lo=0.0, hi_open=False).or_none, None)
+    time_scale: float = knob(NON_NEGATIVE, 0.0)
+    metrics_every: int = knob(at_least(1), 500)
+    percentiles: tuple[float, ...] = knob(
+        Domain(0.0, 100.0), (50.0, 95.0, 99.0), each=True
+    )
+    slo_window: int = knob(at_least(1), 1000)
+    miss_threshold: float = knob(HitMissSupervisor.KNOBS["miss_threshold"], 0.01)
+    miss_window: int = knob(at_least(1), 200)
+    min_samples: int = knob(HitMissSupervisor.KNOBS["min_samples"], 50)
     adapt: bool = True
-    latency_window: int = 512
+    latency_window: int = knob(at_least(1), 512)
     workset_schedule: tuple[tuple[int, float], ...] = ()
     event_log: str | None = None
     #: Arrival-side fault injection: a ``storm`` :class:`FaultSpec`
@@ -112,48 +117,21 @@ class ServingConfig:
     fleet: FleetConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.max_requests is not None and self.max_requests < 1:
-            raise ExperimentError(
-                f"max_requests must be >= 1, got {self.max_requests}"
-            )
-        if self.max_seconds is not None and self.max_seconds <= 0:
-            raise ExperimentError(
-                f"max_seconds must be > 0, got {self.max_seconds}"
-            )
+        check(self, ExperimentError)
         if self.max_requests is None and self.max_seconds is None:
             raise ExperimentError(
                 "an unbounded run needs an explicit opt-in: set "
                 "max_requests and/or max_seconds (use max_seconds=inf "
                 "for a true always-on service)"
             )
-        if self.time_scale < 0:
-            raise ExperimentError(
-                f"time_scale must be >= 0, got {self.time_scale}"
-            )
-        if self.metrics_every < 1:
-            raise ExperimentError(
-                f"metrics_every must be >= 1, got {self.metrics_every}"
-            )
-        if not 0 < self.slo_scale < math.inf:
-            raise ExperimentError(
-                f"slo_scale must be finite and > 0, got {self.slo_scale}"
-            )
-        if self.latency_window < 1:
-            raise ExperimentError(
-                f"latency_window must be >= 1, got {self.latency_window}"
-            )
         last = -1
-        for after_n, scale in self.workset_schedule:
-            if after_n <= last:
-                raise ExperimentError(
-                    f"workset_schedule indices must ascend: "
-                    f"{self.workset_schedule}"
-                )
-            if not 0.0 < scale < math.inf:
-                raise ExperimentError(
-                    f"workset_schedule (--drift) scale must be finite and "
-                    f"> 0, got {scale}"
-                )
+        for i, (after_n, scale) in enumerate(self.workset_schedule):
+            label = f"ServingConfig.workset_schedule[{i}]"
+            require(
+                ExperimentError, f"{label} index (indices ascend)", after_n,
+                at_least(last + 1),
+            )
+            require(ExperimentError, f"{label} scale (--drift)", scale, POSITIVE)
             last = after_n
         if self.faults is not None and self.faults.kind == "region-failover":
             if self.fleet is None or len(self.fleet.regions) < 2:
@@ -202,6 +180,12 @@ class ServingLoop:
                 f"serving supports chain workflows, got topology "
                 f"{self.workflow.topology!r} ({self.workflow.name})"
             )
+        # Built before profiling so a window below min_samples fails fast.
+        supervisor = HitMissSupervisor(
+            miss_threshold=config.miss_threshold,
+            min_samples=config.min_samples,
+            window=config.miss_window,
+        )
         self.slo_ms = float(self.workflow.slo_ms) * config.slo_scale
         self.profiles = profiles or profile_workflow(
             self.workflow, seed=config.seed, samples=config.samples
@@ -220,11 +204,6 @@ class ServingLoop:
         self.adapter = getattr(self.policy, "adapter", None)
         self._drift_flagged = False
         if self.adapter is not None:
-            supervisor = HitMissSupervisor(
-                miss_threshold=config.miss_threshold,
-                min_samples=config.min_samples,
-                window=config.miss_window,
-            )
             supervisor.on_regenerate(self._flag_drift)
             self.adapter.supervisor = supervisor
 

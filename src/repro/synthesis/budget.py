@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SynthesisError
+from ..knobs import INTEGER, at_least, check, knob
 from ..profiling.profiles import LatencyProfile
 
 __all__ = ["BudgetRange", "budget_range_for_chain"]
@@ -27,19 +28,16 @@ __all__ = ["BudgetRange", "budget_range_for_chain"]
 class BudgetRange:
     """Inclusive integral budget range [tmin_ms, tmax_ms] with a step."""
 
-    tmin_ms: int
-    tmax_ms: int
-    step_ms: int = 1
+    tmin_ms: int = knob(at_least(0))
+    tmax_ms: int = knob(INTEGER)
+    step_ms: int = knob(at_least(1), 1)
 
     def __post_init__(self) -> None:
-        if self.tmin_ms < 0:
-            raise SynthesisError(f"tmin must be >= 0, got {self.tmin_ms}")
+        check(self, SynthesisError)
         if self.tmax_ms < self.tmin_ms:
             raise SynthesisError(
                 f"tmax {self.tmax_ms} < tmin {self.tmin_ms}"
             )
-        if self.step_ms < 1:
-            raise SynthesisError(f"step must be >= 1 ms, got {self.step_ms}")
 
     @property
     def num_budgets(self) -> int:

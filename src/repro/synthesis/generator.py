@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SynthesisError
+from ..knobs import POSITIVE, check, knob
 from ..persist import DiskBackedMemo, atomic_write_bytes
 from ..profiling.profiles import ProfileSet
 from .budget import BudgetRange, budget_range_for_chain
@@ -68,14 +69,13 @@ class HeadExploration(enum.Enum):
 class SynthesisConfig:
     """Synthesizer knobs (paper defaults: W=1, head-only exploration)."""
 
-    weight: float = 1.0
+    weight: float = knob(POSITIVE, 1.0)
     exploration: HeadExploration = HeadExploration.HEAD_ONLY
     enforce_resilience: bool = True
     clamp_above: bool = True
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise SynthesisError(f"weight must be > 0, got {self.weight}")
+        check(self, SynthesisError)
 
 
 class HintSynthesizer:
@@ -452,6 +452,11 @@ def synthesize_hints(
     :class:`WorkflowHints` object, whose ``synthesis_seconds`` still reports
     the original live run.
     """
+    config = SynthesisConfig(
+        weight=weight,
+        exploration=exploration,
+        enforce_resilience=enforce_resilience,
+    )
     key = (
         tuple(profiles[name].digest() for name in chain),
         tuple(chain),
@@ -463,15 +468,7 @@ def synthesize_hints(
         workflow_name,
     )
     def compute() -> WorkflowHints:
-        synth = HintSynthesizer(
-            profiles,
-            chain,
-            SynthesisConfig(
-                weight=weight,
-                exploration=exploration,
-                enforce_resilience=enforce_resilience,
-            ),
-        )
+        synth = HintSynthesizer(profiles, chain, config)
         return synth.synthesize(budget, concurrency, workflow_name)
 
     return _HINTS_MEMO.get(

@@ -22,17 +22,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import TraceError
+from ..knobs import FINITE, FRACTION, POSITIVE, UNIT, Domain, check, knob
 from .arrivals import first_n, thinned
 
 __all__ = [
     "RateCurve", "DiurnalRate", "FlashCrowdRate", "MAX_STORM_MULTIPLIER",
-    "nhpp_arrivals",
+    "STORM_MULTIPLIER", "nhpp_arrivals",
 ]
 
 #: The largest flash-crowd rate multiplier. Thinning draws about
 #: ``multiplier`` candidates per arrival outside the storm window, so an
 #: unbounded multiplier is an unbounded loop.
 MAX_STORM_MULTIPLIER = 1000.0
+#: The domain of every flash-crowd multiplier knob (a storm amplifies).
+STORM_MULTIPLIER = Domain(1.0, MAX_STORM_MULTIPLIER, hi_open=False)
+
+#: The numeric fields each curve kind consumes (the ones checked).
+_KIND_FIELDS = {
+    "sinusoid": ("period_s", "base_rate_per_s", "amplitude", "phase"),
+    "piecewise": ("period_s", "phase"),
+}
 
 
 @_t.runtime_checkable
@@ -63,35 +72,21 @@ class DiurnalRate:
     """
 
     kind: str
-    period_s: float
+    period_s: float = knob(POSITIVE)
     #: Sinusoid parameters (ignored for piecewise curves).
-    base_rate_per_s: float = 0.0
-    amplitude: float = 0.0
-    phase: float = 0.0
+    base_rate_per_s: float = knob(POSITIVE, 0.0)
+    amplitude: float = knob(UNIT, 0.0)
+    phase: float = knob(FINITE, 0.0)
     #: Piecewise steps ``((t0_s, rate0), (t1_s, rate1), ...)`` with
     #: ``t0 == 0`` and strictly ascending times below ``period_s``; each
     #: rate holds until the next breakpoint (the last until wrap-around).
     points: tuple[tuple[float, float], ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if self.kind not in ("sinusoid", "piecewise"):
+        if self.kind not in _KIND_FIELDS:
             raise TraceError(f"unknown rate-curve kind {self.kind!r}")
-        # A NaN or infinite parameter would hang the thinning loop.
-        if not 0 < self.period_s < math.inf:
-            raise TraceError(f"period_s must be finite and > 0, got {self.period_s}")
-        if not math.isfinite(self.phase):
-            raise TraceError(f"phase must be finite, got {self.phase}")
-        if self.kind == "sinusoid":
-            if not 0 < self.base_rate_per_s < math.inf:
-                raise TraceError(
-                    f"base rate must be finite and > 0, got {self.base_rate_per_s}"
-                )
-            if not 0.0 <= self.amplitude <= 1.0:
-                # Amplitude is relative: 1.0 dips to zero at the trough.
-                raise TraceError(
-                    f"amplitude must be in [0, 1], got {self.amplitude}"
-                )
-        else:
+        check(self, TraceError, _KIND_FIELDS[self.kind])
+        if self.kind == "piecewise":
             if not self.points:
                 raise TraceError("piecewise curve requires >= 1 breakpoint")
             times = [t for t, _ in self.points]
@@ -207,20 +202,11 @@ class FlashCrowdRate:
     """
 
     base: RateCurve
-    multiplier: float
-    window_fraction: float
+    multiplier: float = knob(STORM_MULTIPLIER)
+    window_fraction: float = knob(FRACTION)
 
     def __post_init__(self) -> None:
-        if not 1.0 < self.multiplier <= MAX_STORM_MULTIPLIER:
-            raise TraceError(
-                f"storm multiplier must be finite and in "
-                f"(1, {MAX_STORM_MULTIPLIER:g}], got {self.multiplier}"
-            )
-        if not 0.0 < self.window_fraction <= 1.0:
-            raise TraceError(
-                f"storm window fraction must be in (0, 1], got "
-                f"{self.window_fraction}"
-            )
+        check(self, TraceError)
 
     @property
     def period_s(self) -> float:

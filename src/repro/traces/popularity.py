@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import TraceError
+from ..knobs import POSITIVE, check, knob
 
 __all__ = ["PopularityMix"]
 
@@ -30,15 +31,14 @@ class PopularityMix:
     """
 
     workflows: tuple[str, ...]
-    zipf_s: float = 0.9
+    zipf_s: float = knob(POSITIVE, 0.9)
 
     def __post_init__(self) -> None:
         if not self.workflows:
             raise TraceError("popularity mix requires >= 1 workflow")
         if len(set(self.workflows)) != len(self.workflows):
             raise TraceError(f"duplicate workflows: {list(self.workflows)}")
-        if self.zipf_s <= 0:
-            raise TraceError(f"zipf exponent must be > 0, got {self.zipf_s}")
+        check(self, TraceError)
 
     def weights(self) -> np.ndarray:
         """Normalised popularity weights, one per workflow (rank order)."""

@@ -16,6 +16,9 @@ import numpy as np
 
 from ..errors import TraceError
 from ..functions.model import FunctionModel, InvocationDynamics
+from ..knobs import (
+    FINITE, FRACTION, NON_NEGATIVE, POSITIVE, UNIT, at_least, check, knob,
+)
 from ..rng import RngFactory
 from ..types import Milliseconds
 from ..workflow.catalog import Workflow
@@ -25,7 +28,7 @@ from ..workflow.request import (
     WorkflowRequest,
 )
 from .arrivals import arrival_chunks, first_n
-from .diurnal import DiurnalRate, FlashCrowdRate, RateCurve
+from .diurnal import STORM_MULTIPLIER, DiurnalRate, FlashCrowdRate, RateCurve
 
 __all__ = [
     "ArrivalSpec",
@@ -39,7 +42,7 @@ __all__ = [
 
 InterferenceDraw = _t.Callable[[np.random.Generator], float]
 
-#: The numeric fields each arrival process consumes (all must be finite).
+#: The numeric fields each arrival process consumes (the ones checked).
 _DIURNAL = ("rate_per_s", "amplitude", "period_s", "phase")
 _KIND_FIELDS = {
     "constant": ("interval_ms",), "poisson": ("rate_per_s",),
@@ -77,19 +80,19 @@ class ArrivalSpec:
     """
 
     kind: str = "constant"
-    rate_per_s: float = 10.0
-    interval_ms: float = 0.0
-    burst_rate_per_s: float | None = None
-    burst_fraction: float = 0.1
-    sigma: float = 1.5
+    rate_per_s: float = knob(POSITIVE, 10.0)
+    interval_ms: float = knob(NON_NEGATIVE, 0.0)
+    burst_rate_per_s: float | None = knob(POSITIVE.or_none, None)
+    burst_fraction: float = knob(UNIT, 0.1)
+    sigma: float = knob(NON_NEGATIVE, 1.5)
     #: Diurnal shape: relative swing in [0, 1] (1 dips to zero at the
     #: trough), the cycle length in seconds, and the phase offset in
     #: radians (fleet regions shift their local busy hour with it; 0 for
     #: every pre-fleet spec, and folded into labels/digests only when
     #: nonzero so existing seeds and cache keys are untouched).
-    amplitude: float = 0.6
-    period_s: float = 60.0
-    phase: float = 0.0
+    amplitude: float = knob(UNIT, 0.6)
+    period_s: float = knob(POSITIVE, 60.0)
+    phase: float = knob(FINITE, 0.0)
     #: Replay source: path to a trace file readable by
     #: :func:`~repro.traces.trace_file.load_trace`. The file is read at
     #: draw time (and memoised per content), so workers replay whatever
@@ -97,8 +100,8 @@ class ArrivalSpec:
     trace: str | None = None
     #: Flash-crowd shape (storm kind): rate multiplier inside the storm
     #: window and the window's width as a fraction of the period.
-    storm_multiplier: float = 6.0
-    storm_fraction: float = 0.15
+    storm_multiplier: float = knob(STORM_MULTIPLIER, 6.0)
+    storm_fraction: float = knob(FRACTION, 0.15)
 
     def __post_init__(self) -> None:
         if self.kind not in ARRIVAL_KINDS:
@@ -108,45 +111,22 @@ class ArrivalSpec:
         # Shape parameters are validated here — not first at draw time — so
         # a bad spec fails when the matrix is built, not mid-sweep inside a
         # pool worker after the profiling campaign already ran. Only the
-        # fields the kind actually consumes are checked. A NaN or infinite
-        # one would hang the thinning loop or silently yield NaN or
-        # all-zero arrivals.
-        for name in _KIND_FIELDS[self.kind]:
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise TraceError(f"arrival {name} must be finite, got {value}")
-        if self.kind == "constant":
-            if self.interval_ms < 0:
-                raise TraceError(
-                    f"interval must be >= 0, got {self.interval_ms}"
-                )
-        elif self.kind != "replay" and self.rate_per_s <= 0:
-            raise TraceError(f"rate must be > 0, got {self.rate_per_s}")
+        # fields the kind actually consumes are checked.
+        check(self, TraceError, _KIND_FIELDS[self.kind])
         if self.kind in ("poisson", "burst", "azure"):
             _check_rate("rate_per_s", self.rate_per_s)
         if self.kind == "burst":
-            if self.burst_rate_per_s is not None and self.burst_rate_per_s <= 0:
-                raise TraceError(
-                    f"burst rate must be > 0, got {self.burst_rate_per_s}"
-                )
-            if not 0.0 <= self.burst_fraction <= 1.0:
-                raise TraceError(
-                    f"burst fraction must be in [0, 1]: {self.burst_fraction}"
-                )
             _check_rate(
                 "rate_per_s" if self.burst_rate_per_s is None
                 else "burst_rate_per_s",
                 self.effective_burst_rate, "burst rate",
             )
-        if self.kind == "azure" and self.sigma < 0:
-            raise TraceError(f"sigma must be >= 0, got {self.sigma}")
         if self.kind == "replay" and not self.trace:
             raise TraceError(
                 "replay arrivals require trace=<path to a trace file>"
             )
         if self.kind in ("diurnal", "storm"):
-            # Building the curve validates its shape at spec-build time,
-            # as for the other kinds; its peak is the thinning envelope.
+            # The curve's peak is the thinning envelope.
             _check_rate("rate_per_s", self.rate_curve().peak_rate, "peak rate")
 
     @property
@@ -234,11 +214,12 @@ def _check_rate(knob: str, rate_per_s: float, what: str = "rate") -> None:
     # hang the sampler or yield inf/nan arrivals.
     if not (rate_per_s < math.inf and 1000.0 / rate_per_s < math.inf):
         raise TraceError(
-            f"arrival {knob} gives a {what} of {rate_per_s:g}/s; it and its "
-            f"mean gap 1000/{what} ms must both be finite"
+            f"ArrivalSpec.{knob} gives a {what} of {rate_per_s:g}/s; it and "
+            f"its mean gap 1000/{what} ms must both be finite"
         )
 
 
+@dataclass(eq=False)
 class WorkloadConfig:
     """Parameters of a request stream.
 
@@ -250,36 +231,25 @@ class WorkloadConfig:
     experiment).
     """
 
-    def __init__(
-        self,
-        n_requests: int = 1000,
-        arrival_rate_per_s: float | None = None,
-        interference: InterferenceDraw | None = None,
-        workset_scale: float = 1.0,
-        slo_ms: Milliseconds | None = None,
-        concurrency: int | None = None,
-        arrival: ArrivalSpec | None = None,
-    ) -> None:
-        if not float(n_requests).is_integer():
-            raise TraceError(f"n_requests must be an integer, got {n_requests}")
-        if n_requests <= 0:
-            raise TraceError(f"n_requests must be > 0, got {n_requests}")
-        if not 0.0 < workset_scale < math.inf:
-            raise TraceError(
-                f"workset_scale must be finite and > 0, got {workset_scale}"
-            )
-        if arrival is not None and arrival_rate_per_s is not None:
+    n_requests: int = knob(at_least(1), 1000)
+    arrival_rate_per_s: float | None = knob(POSITIVE.or_none, None)
+    interference: InterferenceDraw | None = None
+    workset_scale: float = knob(POSITIVE, 1.0)
+    slo_ms: Milliseconds | None = knob(POSITIVE.or_none, None)
+    concurrency: int | None = knob(at_least(1).or_none, None)
+    arrival: ArrivalSpec | None = None
+
+    def __post_init__(self) -> None:
+        if isinstance(self.n_requests, float) and self.n_requests.is_integer():
+            self.n_requests = int(self.n_requests)  # 3.0 requests are 3
+        check(self, TraceError)
+        if self.arrival is not None and self.arrival_rate_per_s is not None:
             raise TraceError(
                 "pass either an ArrivalSpec or the legacy arrival_rate_per_s, "
                 "not both"
             )
-        self.n_requests = int(n_requests)
-        self.arrival_rate_per_s = arrival_rate_per_s
-        self.interference = interference
-        self.workset_scale = float(workset_scale)
-        self.slo_ms = slo_ms
-        self.concurrency = concurrency
-        self.arrival = arrival
+        self.n_requests = int(self.n_requests)
+        self.workset_scale = float(self.workset_scale)
 
     def arrival_spec(self) -> ArrivalSpec:
         """The effective arrival process (legacy rate maps to Poisson)."""

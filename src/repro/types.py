@@ -7,11 +7,12 @@ hashable and immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
+from .knobs import Domain, at_least, check, knob
 
 __all__ = [
     "Millicores",
@@ -37,13 +38,12 @@ class ResourceLimits:
     100).
     """
 
-    kmin: Millicores = 1000
-    kmax: Millicores = 3000
-    step: Millicores = 100
+    kmin: Millicores = knob(at_least(1), 1000)
+    kmax: Millicores = knob(at_least(1), 3000)
+    step: Millicores = knob(at_least(1), 100)
 
     def __post_init__(self) -> None:
-        if self.kmin <= 0 or self.kmax <= 0 or self.step <= 0:
-            raise ConfigError(f"resource limits must be positive: {self}")
+        check(self, ConfigError)
         if self.kmin > self.kmax:
             raise ConfigError(f"kmin {self.kmin} > kmax {self.kmax}")
         if (self.kmax - self.kmin) % self.step != 0:
@@ -107,15 +107,16 @@ class PercentileGrid:
     described in paper §III-B.
     """
 
-    percentiles: tuple[float, ...] = field(default_factory=_default_percentiles)
-    anchor: float = 99.0
+    percentiles: tuple[float, ...] = knob(
+        Domain(0.0, 100.0), DEFAULT_PERCENTILES, each=True
+    )
+    anchor: float = knob(Domain(0.0, 100.0), 99.0)
 
     def __post_init__(self) -> None:
+        check(self, ConfigError)
         ps = tuple(float(p) for p in self.percentiles)
         if not ps:
             raise ConfigError("percentile grid may not be empty")
-        if any(not (0.0 < p < 100.0) for p in ps):
-            raise ConfigError(f"percentiles must lie in (0, 100): {ps}")
         if tuple(sorted(ps)) != ps:
             raise ConfigError("percentiles must be strictly ascending")
         if len(set(ps)) != len(ps):

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from ..errors import WorkflowError
 from ..functions.library import ia_functions, va_functions
 from ..functions.model import FunctionModel
+from ..knobs import POSITIVE, at_least, check, knob
 from ..types import Milliseconds, ResourceLimits
 from .chain import chain_dag
 from .dag import WorkflowDAG
@@ -28,9 +29,9 @@ class Workflow:
     name: str
     dag: WorkflowDAG
     functions: dict[str, FunctionModel]
-    slo_ms: Milliseconds
+    slo_ms: Milliseconds = knob(POSITIVE)
     limits: ResourceLimits = field(default_factory=ResourceLimits)
-    max_concurrency: int = 1
+    max_concurrency: int = knob(at_least(1), 1)
 
     def __post_init__(self) -> None:
         missing = [n for n in self.dag.nodes if n not in self.functions]
@@ -39,12 +40,7 @@ class Workflow:
         extra = [n for n in self.functions if n not in self.dag]
         if extra:
             raise WorkflowError(f"{self.name}: models without DAG nodes: {extra}")
-        if self.slo_ms <= 0:
-            raise WorkflowError(f"{self.name}: SLO must be > 0, got {self.slo_ms}")
-        if self.max_concurrency < 1:
-            raise WorkflowError(
-                f"{self.name}: max_concurrency must be >= 1, got {self.max_concurrency}"
-            )
+        check(self, WorkflowError)
         if self.max_concurrency > 1:
             non_batchable = [
                 n for n in self.dag.nodes if not self.functions[n].batchable

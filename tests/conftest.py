@@ -122,3 +122,20 @@ def va_profiles(va_workflow):
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def cli_error(capsys):
+    """Run ``janus-repro argv`` and return the message of the one-line
+    error it must fail with (exit status 1, no traceback)."""
+    from repro.cli import main
+
+    def run(argv: list[str]) -> str:
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        prefix = "janus-repro: error: "
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+        return err[len(prefix):].rstrip("\n")
+
+    return run

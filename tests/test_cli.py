@@ -264,11 +264,9 @@ class TestServe:
         assert args.source == "diurnal@8" and args.policy == "Janus"
         assert args.max_requests is None and args.time_scale == 0.0
 
-    def test_unbounded_run_rejected(self):
-        from repro.errors import ExperimentError
-
-        with pytest.raises(ExperimentError, match="unbounded"):
-            main(["serve"])  # no --max-requests / --max-seconds
+    def test_unbounded_run_rejected(self, cli_error):
+        # No --max-requests / --max-seconds.
+        assert "unbounded" in cli_error(["serve"])
 
     def test_bad_drift_token_rejected(self):
         with pytest.raises(SystemExit):
@@ -348,12 +346,11 @@ class TestFaultFlags:
         cells = [line.split(",")[idx] for line in lines[1:]]
         assert "" in cells  # the clean cell leaves fault counters blank
 
-    def test_sweep_bad_fault_token_rejected(self):
-        from repro.errors import ClusterError
-
-        with pytest.raises(ClusterError, match="unknown fault kind"):
-            main(["sweep", "--workflows", "IA", "--arrivals", "poisson@8",
-                  "--faults", "meteor@9"])
+    def test_sweep_bad_fault_token_rejected(self, cli_error):
+        assert "unknown fault kind" in cli_error(
+            ["sweep", "--workflows", "IA", "--arrivals", "poisson@8",
+             "--faults", "meteor@9"]
+        )
 
     def test_serve_faults_parser(self):
         args = build_parser().parse_args(
@@ -376,8 +373,7 @@ class TestFaultFlags:
         assert fault["fault_kind"] == "storm"
         assert fault["effective_source"].startswith("storm@")
 
-    def test_serve_cluster_fault_rejected(self):
-        from repro.errors import ExperimentError
-
-        with pytest.raises(ExperimentError, match="arrival-side"):
-            main(["serve", "--max-requests", "10", "--faults", "preempt@2"])
+    def test_serve_cluster_fault_rejected(self, cli_error):
+        assert "arrival-side" in cli_error(
+            ["serve", "--max-requests", "10", "--faults", "preempt@2"]
+        )

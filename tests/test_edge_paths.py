@@ -29,8 +29,8 @@ class TestCliFailureModes:
         with pytest.raises(FileNotFoundError):
             main(["inspect", str(tmp_path / "nope.json")])
 
-    def test_synthesize_unknown_chain_function(self, tmp_path):
-        from repro.profiling.io import save_profile_set
+    def test_synthesize_unknown_chain_function(self, tmp_path, cli_error):
+        from repro.profiling.io import load_profile_set, save_profile_set
 
         prof = tmp_path / "p.json"
         from tests.test_profiling import make_profile
@@ -39,11 +39,12 @@ class TestCliFailureModes:
         save_profile_set(ProfileSet({"A": make_profile("A")}), str(prof))
         from repro.errors import ProfileError
 
-        with pytest.raises(ProfileError):
-            main([
-                "synthesize", str(prof), "--chain", "A,Missing",
-                "--out", str(tmp_path / "h.json"),
-            ])
+        with pytest.raises(ProfileError) as want:
+            load_profile_set(str(prof))["Missing"]
+        assert cli_error([
+            "synthesize", str(prof), "--chain", "A,Missing",
+            "--out", str(tmp_path / "h.json"),
+        ]) == str(want.value)
 
 
 class TestClampAboveConfig:

@@ -159,7 +159,7 @@ class TestParseArrival:
 
         # Spec construction validates shape parameters, so a bad token
         # fails before any cell (or profiling campaign) runs.
-        with pytest.raises(TraceError, match="rate must be > 0"):
+        with pytest.raises(TraceError, match="ArrivalSpec.rate_per_s must be"):
             parse_arrival("poisson@0")
 
     def test_invalid_spec_values_rejected(self):
@@ -167,7 +167,7 @@ class TestParseArrival:
 
         with pytest.raises(TraceError, match="interval"):
             ArrivalSpec(kind="constant", interval_ms=-5.0)
-        with pytest.raises(TraceError, match="burst fraction"):
+        with pytest.raises(TraceError, match="ArrivalSpec.burst_fraction"):
             ArrivalSpec(kind="burst", rate_per_s=5.0, burst_fraction=1.5)
         with pytest.raises(TraceError, match="sigma"):
             ArrivalSpec(kind="azure", rate_per_s=5.0, sigma=-0.1)

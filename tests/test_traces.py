@@ -161,7 +161,7 @@ class TestDiurnalRate:
     def test_invalid_curves(self):
         with pytest.raises(TraceError, match="amplitude"):
             DiurnalRate.sinusoid(10.0, amplitude=1.5)
-        with pytest.raises(TraceError, match="base rate"):
+        with pytest.raises(TraceError, match="DiurnalRate.base_rate_per_s"):
             DiurnalRate.sinusoid(0.0)
         with pytest.raises(TraceError, match="period"):
             DiurnalRate.sinusoid(10.0, period_s=0.0)
