@@ -2,17 +2,20 @@
 
 Unlike the figure benchmarks (which regenerate paper artifacts), this
 module tracks the *engine*: sim-kernel event throughput, hint-synthesis
-memoisation, end-to-end sweep wall time serial vs process pool,
-work-stealing vs static scheduling on a deliberately heterogeneous
-matrix, and cold vs warm content-addressed cell caching. The headline
-numbers are written to ``BENCH_scenarios.json`` (override the location
-with ``JANUS_BENCH_OUT``) so successive PRs can compare.
+memoisation, end-to-end sweep wall time serial vs process pool (also
+on a deliberately heterogeneous matrix), and cold vs warm
+content-addressed cell caching. The headline numbers are written to
+``BENCH_scenarios.json`` (override the location with
+``JANUS_BENCH_OUT``) so successive PRs can compare; its ``provenance``
+section records the machine and commit of the last run that wrote it.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
+import subprocess
 import time
 
 from repro.scenarios import ScenarioMatrix, SweepRunner
@@ -28,6 +31,27 @@ OUT_PATH = os.environ.get("JANUS_BENCH_OUT", "BENCH_scenarios.json")
 _RESULTS: dict[str, object] = {}
 
 
+def _provenance() -> dict[str, object]:
+    import numpy
+
+    try:
+        commit = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=12"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = "unknown"
+    return {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "commit": commit,
+        # Sections measured by that run; the others are older.
+        "sections": sorted(_RESULTS),
+    }
+
+
 def _write_results() -> None:
     # Read-update-write: running a subset of these tests must refresh only
     # its own sections, not erase the other recorded ones.
@@ -38,6 +62,7 @@ def _write_results() -> None:
     except (OSError, ValueError):
         pass
     payload.update(_RESULTS)
+    payload["provenance"] = _provenance()
     with open(OUT_PATH, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
 
@@ -378,8 +403,8 @@ def _heterogeneous_matrix(bench_requests: int, bench_samples: int) -> ScenarioMa
     """Cell costs spanning ~6x: mixed tenant counts over two workflows.
 
     Expansion order interleaves cheap (1-tenant) and expensive (3-tenant)
-    cells, so a static in-order dispatch regularly strands a long cell on
-    a drained queue — the shape the work-stealing scheduler targets.
+    cells, so an in-order dispatch would regularly strand a long cell on
+    a drained queue — the shape the pool's cost-ordered dispatch targets.
     """
     from repro.traces.workload import ArrivalSpec
 
@@ -397,29 +422,27 @@ def _heterogeneous_matrix(bench_requests: int, bench_samples: int) -> ScenarioMa
     )
 
 
-def test_workstealing_vs_static(benchmark, bench_requests, bench_samples):
-    """Wall time: cost-ordered work stealing vs the static pool map."""
+def test_pool_vs_serial(benchmark, bench_requests, bench_samples):
+    """Wall time: the cost-ordered process pool vs serial, one matrix."""
     matrix = _heterogeneous_matrix(bench_requests, bench_samples)
     workers = max(2, min(4, os.cpu_count() or 1))
     costs = sorted(c.cost_estimate() for c in matrix.expand())
-    stolen = run_once(
-        benchmark, SweepRunner(max_workers=workers, backend="workstealing").run,
+    pooled = run_once(
+        benchmark, SweepRunner(max_workers=workers, backend="pool").run,
         matrix,
     )
-    start = time.perf_counter()
-    static = SweepRunner(max_workers=workers, backend="pool").run(matrix)
-    static_s = time.perf_counter() - start
-    assert stolen.to_json() == static.to_json()
+    serial = SweepRunner(max_workers=1, backend="serial").run(matrix)
+    assert pooled.to_json() == serial.to_json()
     print(f"\nheterogeneous sweep ({len(matrix)} cells, "
-          f"cost spread {costs[-1] / costs[0]:.1f}x, {workers} workers): "
-          f"workstealing {stolen.wall_seconds:.2f} s, "
-          f"static pool {static_s:.2f} s")
+          f"cost spread {costs[-1] / costs[0]:.1f}x): "
+          f"pool ({workers} workers) {pooled.wall_seconds:.2f} s, "
+          f"serial {serial.wall_seconds:.2f} s")
     _RESULTS["scheduler"] = {
         "cells": len(matrix),
         "cost_spread": costs[-1] / costs[0],
         "pool_workers": workers,
-        "workstealing_seconds": stolen.wall_seconds,
-        "static_pool_seconds": static_s,
+        "pool_seconds": pooled.wall_seconds,
+        "serial_seconds": serial.wall_seconds,
         "bit_identical": True,
     }
     _write_results()

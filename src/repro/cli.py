@@ -6,7 +6,7 @@ Usage::
     janus-repro run fig5 --requests 1000
     janus-repro run-all --requests 400 --samples 1000
     janus-repro sweep --workflows IA,VA --arrivals constant,poisson@8 --jobs 4
-    janus-repro sweep --backend workstealing --cache-dir .sweep-cache --progress
+    janus-repro sweep --backend pool --cache-dir .sweep-cache --progress
     janus-repro trace generate --workflows IA,VA --n 2000 --out day.jsonl
     janus-repro trace summarize day.jsonl
     janus-repro sweep --workflows IA,VA --traces day.jsonl
@@ -32,7 +32,7 @@ import sys
 import time
 import typing as _t
 
-from .errors import ReproError
+from .errors import ExperimentError, ReproError
 from .experiments.registry import EXPERIMENTS, list_experiments, run_experiment
 
 __all__ = ["main", "build_parser"]
@@ -122,11 +122,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "default: CPU count)")
     sweep_p.add_argument(
         "--backend",
-        choices=["serial", "pool", "workstealing", "distributed"],
+        choices=["serial", "pool", "distributed"],
         default=None,
-        help="execution backend: 'serial' (in-process), 'pool' (static "
-             "process-pool map), 'workstealing' (per-cell submission, "
-             "most expensive cells dispatched first), 'distributed' "
+        help="execution backend: 'serial' (in-process), 'pool' (process "
+             "pool, most expensive cells dispatched first; --progress "
+             "lines print in completion order), 'distributed' "
              "(multi-host coordinator over --hosts with cross-host "
              "stealing and cell-cache resume). Default: serial when "
              "--jobs 1, pool otherwise. Results are bit-identical "
@@ -423,11 +423,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     def _split(text: str) -> list[str]:
         return [part.strip() for part in text.split(",") if part.strip()]
 
+    def _numbers(flag: str, text: str, kind: type, noun: str) -> tuple:
+        # Only parses the tokens; the matrix schema checks their domain.
+        values = []
+        for token in _split(text):
+            try:
+                values.append(kind(token))
+            except ValueError:
+                raise ExperimentError(
+                    f"{flag} wants comma-separated {noun}, got {token!r}"
+                ) from None
+        return tuple(values)
+
     matrix_kwargs: dict[str, _t.Any] = {
         "workflows": tuple(_split(args.workflows)),
         "arrivals": tuple(parse_arrival(tok) for tok in _split(args.arrivals)),
-        "slo_scales": tuple(float(s) for s in _split(args.slo_scales)),
-        "tenant_counts": tuple(int(t) for t in _split(args.tenants)),
+        "slo_scales": _numbers(
+            "--slo-scales", args.slo_scales, float, "numbers"
+        ),
+        "tenant_counts": _numbers("--tenants", args.tenants, int, "integers"),
         "baseline": args.baseline,
     }
     if args.policies:

@@ -4,7 +4,7 @@ Routing runs once per fleet cell, *before* any executor serves anything,
 over the merged arrival-ordered request stream. Load is a deterministic
 proxy — an assigned request occupies its region from arrival until its
 SLO deadline — so the pass needs no feedback from the executors and every
-backend (serial, pool, work-stealing, distributed) routes identically,
+backend (serial, pool, distributed) routes identically,
 which is what keeps fleet sweeps bit-identical across backends.
 
 Policies register by name through :func:`register_routing`; a

@@ -10,10 +10,10 @@ first-class object:
   streams derived from one master seed.
 * :class:`SweepRunner` — executes the matrix through
   :meth:`repro.api.Session.compare` on a pluggable
-  :class:`ExecutionBackend` (``serial``, static ``pool``, the
-  ``workstealing`` scheduler that dispatches expensive cells first, or
-  the multi-host ``distributed`` fabric with cross-host stealing and
-  cell-cache resume), with bit-identical results on every backend.
+  :class:`ExecutionBackend` (``serial``, the process ``pool`` that
+  dispatches expensive cells first, or the multi-host ``distributed``
+  fabric with cross-host stealing and cell-cache resume), with
+  bit-identical results on every backend.
 * :class:`CellCache` — content-addressed per-cell result persistence
   (plus disk layers behind the DP/hints memos) so repeated and
   overlapping sweeps skip already-computed cells.
@@ -38,13 +38,11 @@ from .backends import (
     ExecutionBackend,
     PoolBackend,
     SerialBackend,
-    WorkStealingBackend,
     backend_names,
     get_backend,
     register_backend,
 )
 from .cache import CellCache, configure_persistent_caches, scenario_digest
-from .costs import CellCostModel
 from .distributed import DistributedBackend, HostSpec, parse_hosts
 from .matrix import (
     Scenario,
@@ -68,7 +66,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "PoolBackend",
-    "WorkStealingBackend",
     "DistributedBackend",
     "HostSpec",
     "parse_hosts",
@@ -76,7 +73,6 @@ __all__ = [
     "backend_names",
     "get_backend",
     "CellCache",
-    "CellCostModel",
     "scenario_digest",
     "configure_persistent_caches",
     "parse_arrival",

@@ -4,19 +4,17 @@ they compute.
 A backend receives the expanded cells and a picklable per-cell function
 and returns one outcome per cell **in submission order**, whatever order
 the hardware finished them in — which is why every backend produces a
-bit-identical :class:`~repro.scenarios.report.SweepReport`. Three ship
-built in:
+bit-identical :class:`~repro.scenarios.report.SweepReport`. Two ship
+here (the multi-host ``distributed`` fabric registers from
+:mod:`repro.scenarios.distributed`):
 
 * ``serial`` — in-process loop; the reference for determinism tests.
-* ``pool`` — the classic static fan-out over a
-  ``concurrent.futures.ProcessPoolExecutor`` via ``map`` (cells dispatched
-  in expansion order).
-* ``workstealing`` — per-cell ``submit`` + ``as_completed``. Cells are
-  dispatched in descending :meth:`~repro.scenarios.matrix.Scenario.
-  cost_estimate` order so the expensive ones start first and cheap ones
-  pack around them — on heterogeneous matrices (mixed tenant counts,
-  analytic + DES-cluster cells) this removes the "big cell lands last"
-  straggler that a static map suffers.
+* ``pool`` — per-cell ``submit`` to a
+  ``concurrent.futures.ProcessPoolExecutor``. Cells are dispatched in
+  descending :meth:`~repro.scenarios.matrix.Scenario.cost_estimate`
+  order so the expensive ones start first and cheap ones pack around
+  them, and completion callbacks fire as cells finish, so one failing
+  cell never hides the cells that finished before it.
 
 New backends register by name::
 
@@ -31,6 +29,7 @@ and become constructible through :func:`get_backend` / the
 from __future__ import annotations
 
 import concurrent.futures
+import os
 import typing as _t
 
 from ..errors import ExperimentError
@@ -42,7 +41,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "PoolBackend",
-    "WorkStealingBackend",
     "register_backend",
     "backend_names",
     "get_backend",
@@ -138,11 +136,11 @@ def resolve_backend(
     """Turn the ``SweepRunner(backend=...)`` argument into an instance.
 
     ``None`` keeps the historical behaviour: serial when ``max_workers``
-    <= 1, the static pool otherwise. A string resolves through the
+    <= 1, the process pool otherwise. A string resolves through the
     registry; an instance passes through unchanged (its own worker
-    settings win). Extra ``options`` (e.g. the runner's calibrated
-    ``cost_model``) reach the factory subject to :func:`get_backend`'s
-    signature filtering, so backends that don't take them ignore them.
+    settings win). Extra ``options`` (e.g. the runner's ``cache_dir``)
+    reach the factory subject to :func:`get_backend`'s signature
+    filtering, so backends that don't take them ignore them.
     """
     if backend is None:
         backend = "serial" if max_workers <= 1 else "pool"
@@ -186,14 +184,23 @@ class SerialBackend:
         return out
 
 
-class _PoolBackendBase:
-    """Shared process-pool plumbing for the fan-out backends."""
+@register_backend("pool")
+class PoolBackend:
+    """Per-cell submission, most expensive first, reassembled in order.
+
+    ``submit``/``as_completed`` keeps every worker busy until the queue is
+    drained; dispatching in descending cost-estimate order (ties broken by
+    expansion position, so dispatch is deterministic) ensures the
+    long-pole cells cannot end up straggling behind a drained queue.
+    Completion callbacks fire in true completion order, so the runner
+    caches every finished cell even when another cell fails.
+    """
+
+    name = "pool"
 
     def __init__(
         self, max_workers: int | None = None, mp_context: _t.Any = None
     ) -> None:
-        import os
-
         if max_workers is None:
             max_workers = os.cpu_count() or 1
         self.max_workers = max(1, int(max_workers))
@@ -202,99 +209,27 @@ class _PoolBackendBase:
     def workers_for(self, n_tasks: int) -> int:
         return max(1, min(self.max_workers, n_tasks))
 
-    def _pool(
-        self, n_tasks: int, initializer: Initializer | None, initargs: tuple
-    ) -> concurrent.futures.ProcessPoolExecutor:
-        return concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.workers_for(n_tasks),
+    def run(
+        self,
+        scenarios: _t.Sequence["Scenario"],
+        fn: _t.Callable[["Scenario"], _t.Any],
+        on_complete: CompletionCallback | None = None,
+        initializer: Initializer | None = None,
+        initargs: tuple = (),
+    ) -> list[_t.Any]:
+        if not scenarios:
+            return []
+        costs = [s.cost_estimate() for s in scenarios]
+        order = sorted(
+            range(len(scenarios)), key=lambda pos: (-costs[pos], pos)
+        )
+        out: list[_t.Any] = [None] * len(scenarios)
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=self.workers_for(len(scenarios)),
             mp_context=self.mp_context,
             initializer=initializer,
             initargs=initargs if initializer is not None else (),
-        )
-
-
-@register_backend("pool")
-class PoolBackend(_PoolBackendBase):
-    """Static ``pool.map`` fan-out in expansion order (the classic path)."""
-
-    name = "pool"
-
-    def run(
-        self,
-        scenarios: _t.Sequence["Scenario"],
-        fn: _t.Callable[["Scenario"], _t.Any],
-        on_complete: CompletionCallback | None = None,
-        initializer: Initializer | None = None,
-        initargs: tuple = (),
-    ) -> list[_t.Any]:
-        if not scenarios:
-            return []
-        with self._pool(len(scenarios), initializer, initargs) as pool:
-            out: list[_t.Any] = []
-            # map yields in submission order, so completion callbacks are
-            # head-of-line ordered — cell k is reported only after 0..k-1.
-            for pos, outcome in enumerate(pool.map(fn, scenarios)):
-                out.append(outcome)
-                if on_complete is not None:
-                    on_complete(pos, outcome)
-        return out
-
-
-@register_backend("workstealing")
-class WorkStealingBackend(_PoolBackendBase):
-    """Per-cell submission, most expensive first, reassembled in order.
-
-    ``submit``/``as_completed`` keeps every worker busy until the queue is
-    drained; dispatching in descending cost-estimate order (ties broken by
-    expansion position, so dispatch is deterministic) ensures the
-    long-pole cells cannot end up straggling behind a drained queue.
-    Completion callbacks fire in true completion order.
-
-    ``cost_model`` optionally replaces the static
-    :meth:`~repro.scenarios.matrix.Scenario.cost_estimate` heuristic with
-    calibrated per-family wall-time history
-    (:class:`~repro.scenarios.costs.CellCostModel`, attached by the sweep
-    runner when a cache dir is configured). Either way the model only
-    *orders* dispatch; results are always reassembled in submission
-    order, so calibration can never change them.
-    """
-
-    name = "workstealing"
-
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        mp_context: _t.Any = None,
-        cost_model: _t.Any = None,
-    ) -> None:
-        super().__init__(max_workers=max_workers, mp_context=mp_context)
-        self.cost_model = cost_model
-
-    def _costs(self, scenarios: _t.Sequence["Scenario"]) -> list[float]:
-        if self.cost_model is not None:
-            try:
-                return list(self.cost_model.estimate_all(scenarios))
-            except Exception:
-                pass  # calibration is advisory; fall back to the heuristic
-        return [s.cost_estimate() for s in scenarios]
-
-    def run(
-        self,
-        scenarios: _t.Sequence["Scenario"],
-        fn: _t.Callable[["Scenario"], _t.Any],
-        on_complete: CompletionCallback | None = None,
-        initializer: Initializer | None = None,
-        initargs: tuple = (),
-    ) -> list[_t.Any]:
-        if not scenarios:
-            return []
-        costs = self._costs(scenarios)
-        order = sorted(
-            range(len(scenarios)),
-            key=lambda pos: (-costs[pos], pos),
-        )
-        out: list[_t.Any] = [None] * len(scenarios)
-        with self._pool(len(scenarios), initializer, initargs) as pool:
+        ) as pool:
             futures = {
                 pool.submit(fn, scenarios[pos]): pos for pos in order
             }

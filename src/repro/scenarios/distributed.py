@@ -8,7 +8,7 @@ while keeping every contract the single-host backends pin:
   socket protocol (:mod:`repro.scenarios.wire`), outcomes stream back in
   completion order, and the result list is reassembled in submission
   (expansion) order — so the :class:`~repro.scenarios.report.SweepReport`
-  JSON matches ``serial``/``pool``/``workstealing`` byte for byte.
+  JSON matches ``serial``/``pool`` byte for byte.
 * **Shared resume log.** The content-addressed
   :class:`~repro.scenarios.cache.CellCache` is the fabric's ledger: the
   runner skips cached cells before anything is dispatched, and workers
@@ -17,12 +17,12 @@ while keeping every contract the single-host backends pin:
   task socket (``protocol`` mode, no shared filesystem needed). A killed
   10k-cell sweep restarts and evaluates only the remainder, and no host
   re-runs a cell another host already stored.
-* **Calibrated scheduling.** The runner's
-  :class:`~repro.scenarios.costs.CellCostModel` estimates order the
+* **Cost-ordered scheduling.** Each cell's
+  :meth:`~repro.scenarios.matrix.Scenario.cost_estimate` orders the
   initial per-host queues (longest-processing-time assignment weighted by
   each host's slot count, most-expensive-first within a queue), and the
   pull-based loop lets a drained host *steal* from the host with the most
-  remaining estimated work — calibration orders dispatch, never results.
+  remaining estimated work — estimates order dispatch, never results.
 * **Loss tolerance.** A dead worker's in-flight cells are re-queued and
   re-dispatched (bounded by ``max_redispatch``); per-cell worker errors
   arrive as the same cell-naming :class:`~repro.errors.ExperimentError`
@@ -198,7 +198,6 @@ class DistributedBackend:
     def __init__(
         self,
         hosts: "str | _t.Sequence[str]" = "local",
-        cost_model: _t.Any = None,
         cache_dir: "str | os.PathLike[str] | None" = None,
         cache_mode: str | None = None,
         python: str | None = None,
@@ -218,7 +217,6 @@ class DistributedBackend:
                 f"unknown distributed cache mode {cache_mode!r} "
                 f"(use 'shared' or 'protocol')"
             )
-        self.cost_model = cost_model
         self.cache_dir = None if cache_dir is None else os.fspath(cache_dir)
         self.cache_mode = cache_mode
         self.python = python
@@ -250,11 +248,6 @@ class DistributedBackend:
 
     # -- scheduling ----------------------------------------------------------
     def _costs(self, items: _t.Sequence[_t.Any]) -> list[float]:
-        if self.cost_model is not None:
-            try:
-                return [float(c) for c in self.cost_model.estimate_all(items)]
-            except Exception:
-                pass  # calibration is advisory; fall back to the heuristic
         out: list[float] = []
         for item in items:
             try:

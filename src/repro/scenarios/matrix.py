@@ -306,8 +306,8 @@ class Scenario:
         each request traverses, the policies served over the shared
         stream, and the executor: DES cluster cells pay a large
         discrete-event premium over the analytic backends. The estimate
-        is unitless and deterministic — the work-stealing backend only
-        *orders* dispatch by it, so a misestimate costs wall time, never
+        is unitless and deterministic — the pool and distributed backends
+        only *order* dispatch by it, so a misestimate costs wall time, never
         correctness.
         """
         from .registry import workflow_epoch
@@ -384,8 +384,8 @@ class ScenarioMatrix:
     #: cache key, so editing a trace file cold-starts exactly the cells
     #: that replay it.
     traces: tuple[str, ...] = ()
-    slo_scales: tuple[float, ...] = (1.0,)
-    tenant_counts: tuple[int, ...] = (1,)
+    slo_scales: tuple[float, ...] = knob(POSITIVE, (1.0,), each=True)
+    tenant_counts: tuple[int, ...] = knob(at_least(1), (1,), each=True)
     policies: tuple[str, ...] = DEFAULT_SWEEP_POLICIES
     n_requests: int = knob(at_least(1), 200)
     samples: int = knob(PROFILE_SAMPLES, 1000)
@@ -609,6 +609,9 @@ class ScenarioMatrix:
                     workflow=wf,
                     arrival=arrival,
                     slo_scale=float(scale),
+                    # The schema admits integers only, so int() cannot
+                    # truncate; it turns numpy integers into the plain
+                    # ints the digest and report JSON serialise.
                     tenants=int(tenants),
                     policies=tuple(self.policies),
                     n_requests=int(self.n_requests),

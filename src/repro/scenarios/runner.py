@@ -4,8 +4,8 @@ matrix on a pluggable execution backend.
 Determinism contract: every random stream a scenario consumes derives from
 labels hashed off the matrix seed (:func:`repro.rng.child_seed`), and
 per-process caches (profiles, DP tables, hints) only memoise pure
-functions of those seeds. Every backend (serial, static pool,
-work-stealing) therefore produces bit-identical results — the property
+functions of those seeds. Every backend (serial, process pool,
+distributed) therefore produces bit-identical results — the property
 ``tests/test_scenarios.py`` pins across actual process boundaries — and a
 :class:`~repro.scenarios.cache.CellCache` replay is byte-identical to a
 cold run.
@@ -47,7 +47,6 @@ from .cache import (
     snapshot_persistent_caches,
     synthesis_cache_stats,
 )
-from .costs import CellCostModel
 from ..cluster.faults import CLUSTER_FAULT_KINDS
 from .matrix import Scenario, ScenarioMatrix
 from .registry import scenario_workflow, workflow_epoch
@@ -346,10 +345,10 @@ class SweepRunner:
     """Executes a :class:`ScenarioMatrix` on a pluggable execution backend.
 
     ``backend`` names the scheduling strategy (``"serial"``, ``"pool"``,
-    ``"workstealing"``, or any :func:`~repro.scenarios.backends.
+    ``"distributed"``, or any :func:`~repro.scenarios.backends.
     register_backend` registration — an :class:`ExecutionBackend` instance
     also works). ``None`` keeps the historical rule: serial when
-    ``max_workers`` <= 1, the static pool otherwise. Results are
+    ``max_workers`` <= 1, the process pool otherwise. Results are
     bit-identical across backends and worker counts — only wall time
     changes.
 
@@ -360,7 +359,7 @@ class SweepRunner:
 
     ``backend_options`` are extra constructor options for a string-named
     backend (e.g. ``{"hosts": "local:2,big:8"}`` for ``distributed``);
-    like ``cost_model`` and ``cache_dir`` they pass through
+    like ``cache_dir`` they pass through
     :func:`~repro.scenarios.backends.resolve_backend`'s signature
     filtering, so options a backend doesn't declare are ignored.
     """
@@ -410,14 +409,6 @@ class SweepRunner:
         total = len(scenarios)
         start = time.perf_counter()
         cache = CellCache(self.cache_dir) if self.cache_dir else None
-        # Calibrated dispatch costs ride on the same cache dir: walls
-        # recorded as cells complete feed later sweeps' work-stealing
-        # order. Ordering-only, so this cannot affect results.
-        cost_model = (
-            CellCostModel(os.path.join(self.cache_dir, "costs"))
-            if self.cache_dir
-            else None
-        )
 
         raw: list[ScenarioResult | None] = [None] * total
         pending: list[tuple[int, Scenario]] = []
@@ -442,8 +433,7 @@ class SweepRunner:
         effective = min(self.max_workers, len(pending)) if pending else 1
         backend = resolve_backend(
             self.backend, max_workers=effective, mp_context=self.mp_context,
-            cost_model=cost_model, cache_dir=self.cache_dir,
-            **self.backend_options,
+            cache_dir=self.cache_dir, **self.backend_options,
         )
         synth_stats: dict[str, dict[str, int]] = {}
         if pending:
@@ -455,8 +445,6 @@ class SweepRunner:
                 # every other cell.
                 if cache is not None:
                     cache.store(scenario, outcome.result)
-                if cost_model is not None:
-                    cost_model.record(scenario, outcome.wall_seconds)
                 self._emit(
                     scenario, resolved, total, outcome.wall_seconds, False
                 )

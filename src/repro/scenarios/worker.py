@@ -94,8 +94,7 @@ def _run_task(
         if hit is not None:
             # Another sweep (or this one, before it was killed) already
             # evaluated this cell: fabricate the outcome the per-cell
-            # function would have produced. Zero wall so the hit cannot
-            # pollute the calibrated cost model.
+            # function would have produced.
             from .runner import CellOutcome
 
             outcome = CellOutcome(

@@ -7,15 +7,13 @@ simulation, see DESIGN.md §2). Public surface:
 - :class:`Simulator` — clock, event heap, run loop
 - :class:`Event`, :class:`Timeout`, :class:`AllOf`, :class:`AnyOf`
 - :class:`Process`, :class:`Interrupt` — generator coroutines
-- :class:`CapacityResource`, :class:`Store` — shared resources
-- :class:`TimeSeries`, :class:`Counter` — measurement
+- :class:`TimeSeries` — measurement
 """
 
 from .engine import Simulator
 from .events import AllOf, AnyOf, Event, Timeout
-from .monitor import Counter, TimeSeries
+from .monitor import TimeSeries
 from .process import Interrupt, Process
-from .resources import CapacityResource, Store
 
 __all__ = [
     "Simulator",
@@ -25,8 +23,5 @@ __all__ = [
     "AnyOf",
     "Process",
     "Interrupt",
-    "CapacityResource",
-    "Store",
     "TimeSeries",
-    "Counter",
 ]

@@ -1,4 +1,4 @@
-"""Measurement helpers for simulations: time series and time-weighted stats."""
+"""Measurement helper for simulations: a step-function time series."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 
 from ..errors import SimulationError
 
-__all__ = ["TimeSeries", "Counter"]
+__all__ = ["TimeSeries"]
 
 
 class TimeSeries:
@@ -64,24 +64,3 @@ class TimeSeries:
         if span <= 0:
             return float(self._values[-1])
         return self.integral(until=end) / span
-
-
-class Counter:
-    """A named monotone event counter with a rate helper."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0
-
-    def increment(self, by: int = 1) -> None:
-        """Add ``by`` (must be positive) to the counter."""
-        if by <= 0:
-            raise SimulationError(f"counter increment must be > 0, got {by}")
-        self.count += by
-
-    def rate(self, elapsed: float) -> float:
-        """Counts per unit time over ``elapsed`` (0 when no time passed)."""
-        return self.count / elapsed if elapsed > 0 else 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.name}={self.count})"

@@ -111,16 +111,18 @@ class TestSweep:
 class TestSweepBackendsAndCache:
     def test_parser_backend_and_cache_flags(self):
         args = build_parser().parse_args(
-            ["sweep", "--backend", "workstealing",
+            ["sweep", "--backend", "pool",
              "--cache-dir", "/tmp/x", "--progress"]
         )
-        assert args.backend == "workstealing"
+        assert args.backend == "pool"
         assert args.cache_dir == "/tmp/x"
         assert args.progress is True and args.no_cache is False
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--backend", "quantum"])
+        with pytest.raises(SystemExit):  # folded into pool
+            build_parser().parse_args(["sweep", "--backend", "workstealing"])
 
     def test_cache_dir_env_default(self, monkeypatch):
         monkeypatch.setenv("JANUS_SWEEP_CACHE", "/tmp/from-env")
@@ -138,10 +140,10 @@ class TestSweepBackendsAndCache:
                 "--jobs", "2", "--cache-dir", str(cache), "--progress"]
         cold_json = tmp_path / "cold.json"
         warm_json = tmp_path / "warm.json"
-        assert main(base + ["--backend", "workstealing",
+        assert main(base + ["--backend", "pool",
                             "--json", str(cold_json)]) == 0
         cold_out = capsys.readouterr().out
-        assert "workstealing backend" in cold_out
+        assert "pool backend" in cold_out
         assert "cell cache: 0 hit(s), 2 miss(es)" in cold_out
         assert main(base + ["--json", str(warm_json)]) == 0
         warm_out = capsys.readouterr().out
@@ -345,6 +347,19 @@ class TestFaultFlags:
         idx = header.index("preemptions")
         cells = [line.split(",")[idx] for line in lines[1:]]
         assert "" in cells  # the clean cell leaves fault counters blank
+
+    @pytest.mark.parametrize("flag,token,message", [
+        ("--tenants", "1.5", "--tenants wants comma-separated integers, "
+                             "got '1.5'"),
+        ("--tenants", "x", "--tenants wants comma-separated integers, "
+                           "got 'x'"),
+        ("--slo-scales", "x", "--slo-scales wants comma-separated numbers, "
+                              "got 'x'"),
+    ])
+    def test_sweep_bad_axis_token_rejected(self, cli_error, flag, token,
+                                           message):
+        assert cli_error(["sweep", "--workflows", "IA", "--jobs", "1",
+                          "--no-cache", flag, token]) == message
 
     def test_sweep_bad_fault_token_rejected(self, cli_error):
         assert "unknown fault kind" in cli_error(

@@ -23,9 +23,9 @@ from repro.errors import ExperimentError
 from repro.scenarios import (
     DistributedBackend,
     HostSpec,
+    PoolBackend,
     ScenarioMatrix,
     SweepRunner,
-    WorkStealingBackend,
     get_backend,
     parse_hosts,
     scenario_digest,
@@ -604,9 +604,9 @@ class TestSweepIntegration:
         assert report.backend_stats == {}
 
 
-class TestFourWayBitIdentity:
-    """serial / pool / workstealing / distributed on faulted and replay
-    matrices — the fabric joins the byte-identity contract."""
+class TestThreeWayBitIdentity:
+    """serial / pool / distributed on faulted and replay matrices — the
+    fabric joins the byte-identity contract."""
 
     @pytest.fixture(scope="class")
     def replay_trace(self, tmp_path_factory):
@@ -635,14 +635,13 @@ class TestFourWayBitIdentity:
         )
         return faulted, replay
 
-    def test_identical_json_across_all_four_backends(
+    def test_identical_json_across_all_three_backends(
         self, replay_trace, worker_env
     ):
         for matrix in self._matrices(replay_trace):
             serial = SweepRunner(max_workers=1, backend="serial").run(matrix)
             for backend, options in (
                 ("pool", None),
-                ("workstealing", None),
                 ("distributed", {"hosts": "local:2", "connect_timeout": 60.0}),
             ):
                 other = SweepRunner(
@@ -839,10 +838,10 @@ class TestDigestMemo:
 
 
 # ---------------------------------------------------------------------------
-# satellite: work-stealing fail-fast
+# pool fail-fast
 
 
-class TestWorkStealingFailFast:
+class TestPoolFailFast:
     def test_error_cancels_not_yet_started_cells(self, tmp_path):
         # The poisoned item carries the top cost estimate, so it is
         # dispatched first and errors within milliseconds; every other
@@ -859,8 +858,31 @@ class TestWorkStealingFailFast:
             )
             for v in range(9)
         ]
-        backend = WorkStealingBackend(max_workers=2)
+        backend = PoolBackend(max_workers=2)
         with pytest.raises(ValueError, match="poisoned item 0"):
             backend.run(items, helpers.eval_costed)
         touched = len(list(tmp_path.glob("*.done")))
         assert touched < 8
+
+    def test_cells_finished_before_an_error_are_all_reported(self):
+        # Item 0 is the costliest and first in expansion order; it fails
+        # after 0.6 s while the other worker finishes items 1-5. A map in
+        # expansion order raises at item 0 and reports none of the five,
+        # so the sweep runner could not cache them.
+        items = [
+            helpers.Costed(
+                v,
+                cost=100.0 if v == 0 else 1.0,
+                delay=0.6 if v == 0 else 0.05,
+                poison=0,
+            )
+            for v in range(6)
+        ]
+        seen: list[int] = []
+        with pytest.raises(ValueError, match="poisoned item 0"):
+            PoolBackend(max_workers=2).run(
+                items,
+                helpers.eval_costed,
+                on_complete=lambda pos, value: seen.append(pos),
+            )
+        assert sorted(seen) == [1, 2, 3, 4, 5]

@@ -323,7 +323,6 @@ class TestFleetSweep:
         matrix = _fleet_matrix()
         for backend, options in (
             ("pool", None),
-            ("workstealing", None),
             ("distributed", {"hosts": "local:2", "connect_timeout": 60.0}),
         ):
             other = SweepRunner(
@@ -400,10 +399,8 @@ class TestFleetOnCluster:
             n_requests=8,
         )
         serial = SweepRunner(max_workers=1, backend="serial").run(matrix)
-        stealing = SweepRunner(max_workers=2, backend="workstealing").run(
-            matrix
-        )
-        assert stealing.to_json() == serial.to_json()
+        pooled = SweepRunner(max_workers=2, backend="pool").run(matrix)
+        assert pooled.to_json() == serial.to_json()
         for cell in json.loads(serial.to_json())["results"]:
             assert cell["executor"] == "Fleet[3xServerlessPlatform]"
             extras = cell["extras"]["Janus"]

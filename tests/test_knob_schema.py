@@ -171,6 +171,19 @@ CASES = [
      lambda: FleetConfig(rtt_ms=NAN), "FleetConfig.rtt_ms"),
     (S + ["--fleet", "regions=3,rtt=inf"], ExperimentError,
      lambda: FleetConfig(rtt_ms=INF), "FleetConfig.rtt_ms"),
+    # Constructed, then failed at expand().
+    (S + ["--tenants", "1,0"], ExperimentError,
+     lambda: ScenarioMatrix(workflows=("IA",), tenant_counts=(1, 0),
+                            policies=("Janus",)),
+     "ScenarioMatrix.tenant_counts[1]"),
+    (S + ["--tenants", "-2"], ExperimentError,
+     lambda: ScenarioMatrix(workflows=("IA",), tenant_counts=(-2,),
+                            policies=("Janus",)),
+     "ScenarioMatrix.tenant_counts[0]"),
+    (S + ["--slo-scales", "nan"], ExperimentError,
+     lambda: ScenarioMatrix(workflows=("IA",), slo_scales=(NAN,),
+                            policies=("Janus",)),
+     "ScenarioMatrix.slo_scales[0]"),
 ]
 
 
@@ -181,6 +194,16 @@ def test_case_fails_fast_naming_its_knob(argv, error, build, knob, cli_error):
     message = api_error(error, build)
     assert message.startswith(f"{knob} must be "), message
     assert cli_message(cli_error, argv) == message
+
+
+def test_fractional_tenant_count_is_rejected_not_truncated():
+    # expand() used to run int(1.5) and serve one tenant. (The CLI never
+    # builds it: `--tenants 1.5` is not an integer token.)
+    message = api_error(ExperimentError, lambda: ScenarioMatrix(
+        workflows=("IA",), tenant_counts=(1.5,), policies=("Janus",)))
+    assert message == (
+        "ScenarioMatrix.tenant_counts[0] must be an integer >= 1, got 1.5"
+    )
 
 
 def test_unbounded_fault_schedule_fails_before_compiling():
@@ -376,7 +399,8 @@ BUILDERS = {
         "tenants": 1, "policies": ("Janus",), "n_requests": 10,
         "samples": 300, "seed": 1, "profile_seed": 2, name: v}),
     ScenarioMatrix: lambda name, v: ScenarioMatrix(
-        workflows=("IA",), policies=("Janus",), **{name: v}),
+        workflows=("IA",), policies=("Janus",),
+        **{name: (v,) if declared(ScenarioMatrix)[name][1] else v}),
     SynthesisConfig: lambda name, v: SynthesisConfig(**{name: v}),
     ProfilerConfig: lambda name, v: ProfilerConfig(**{name: v}),
     FunctionModel: lambda name, v: FunctionModel(

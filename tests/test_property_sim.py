@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import CapacityResource, Simulator
+from repro.sim import Simulator
 from repro.synthesis.budget import BudgetRange
 from repro.synthesis.generator import HintSynthesizer
 from repro.synthesis.dp import ChainDP
@@ -39,35 +39,6 @@ class TestSimulatorProperties:
         sim.run(until=sim.process(chained()))
         assert stamps == sorted(stamps)
         assert sim.now == pytest.approx(sum(delays))
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=0.5, max_value=5.0),  # amount
-                st.floats(min_value=1.0, max_value=50.0),  # hold time
-            ),
-            min_size=1,
-            max_size=20,
-        )
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_capacity_never_exceeded(self, jobs):
-        sim = Simulator()
-        res = CapacityResource(sim, 10.0)
-        peaks = []
-
-        def worker(amount, hold):
-            yield res.acquire(amount)
-            peaks.append(res.in_use)
-            yield sim.timeout(hold)
-            res.release(amount)
-
-        for amount, hold in jobs:
-            sim.process(worker(amount, hold))
-        sim.run()
-        assert all(p <= 10.0 + 1e-9 for p in peaks)
-        assert res.in_use == pytest.approx(0.0)
-        assert res.queue_length == 0
 
 
 class TestBudgetGridGuard:

@@ -91,9 +91,10 @@ class TestMatrix:
 
         with pytest.raises(ExperimentError, match="slo_scale"):
             dataclasses.replace(SMALL_MATRIX.expand()[0], slo_scale=scale)
-        matrix = dataclasses.replace(SMALL_MATRIX, slo_scales=(1.0, scale))
-        with pytest.raises(ExperimentError, match="slo_scale"):
-            matrix.expand()
+        with pytest.raises(
+            ExperimentError, match=r"^ScenarioMatrix\.slo_scales\[1\] must be"
+        ):
+            dataclasses.replace(SMALL_MATRIX, slo_scales=(1.0, scale))
 
     def test_budgets_attached_per_workflow(self):
         import dataclasses
@@ -622,14 +623,16 @@ class TestBackends:
     def test_registry_names(self):
         from repro.scenarios import backend_names
 
-        assert {"serial", "pool", "workstealing"} <= set(backend_names())
+        names = set(backend_names())
+        assert {"serial", "pool", "distributed"} <= names
+        assert "workstealing" not in names  # folded into pool
 
     def test_unknown_backend_rejected_with_known_names(self):
         from repro.scenarios import get_backend
 
         with pytest.raises(ExperimentError, match="unknown sweep backend"):
             get_backend("quantum")
-        with pytest.raises(ExperimentError, match="workstealing"):
+        with pytest.raises(ExperimentError, match="'pool'"):
             SweepRunner(backend="quantum").run(SMALL_MATRIX)
 
     def test_resolve_default_keeps_historical_rule(self):
@@ -637,9 +640,7 @@ class TestBackends:
 
         assert resolve_backend(None, max_workers=1).name == "serial"
         assert resolve_backend(None, max_workers=4).name == "pool"
-        assert resolve_backend("workstealing", max_workers=4).name == (
-            "workstealing"
-        )
+        assert resolve_backend("pool", max_workers=1).name == "pool"
 
     def test_backend_instance_passes_through(self):
         from repro.scenarios import SerialBackend
@@ -661,26 +662,27 @@ class TestBackends:
         finally:
             _BACKENDS.pop("serial-copy")
 
-    def test_workstealing_dispatches_expensive_first(self):
+    def test_pool_dispatches_expensive_first(self):
         # The dispatch order (not completion order) is descending cost,
         # ties broken by position — observable through a single-worker
-        # workstealing run's completion callbacks.
+        # pool run's completion callbacks.
         import dataclasses
 
-        from repro.scenarios import WorkStealingBackend
+        from repro.scenarios import PoolBackend
 
         cells = dataclasses.replace(
             SMALL_MATRIX, tenant_counts=(1, 3), n_requests=4, samples=300
         ).expand()
         costs = [c.cost_estimate() for c in cells]
         seen = []
-        WorkStealingBackend(max_workers=1).run(
+        out = PoolBackend(max_workers=1).run(
             cells, _cost_probe, on_complete=lambda pos, out: seen.append(pos)
         )
         expected = sorted(
             range(len(cells)), key=lambda pos: (-costs[pos], pos)
         )
         assert seen == expected
+        assert out == [c.scenario_id for c in cells]  # order preserved
 
 
 def _cost_probe(scenario):
@@ -727,16 +729,19 @@ class TestDeterminismAcrossBackends:
     def serial_report(self):
         return SweepRunner(max_workers=1).run(SMALL_MATRIX)
 
-    def test_workstealing_bit_identical_to_serial(self, serial_report):
-        # The third backend joins the documented claim, across real
-        # process boundaries: per-cell submission in cost order, results
-        # reassembled in expansion order.
-        stolen = SweepRunner(max_workers=2, backend="workstealing").run(
-            SMALL_MATRIX
-        )
-        assert stolen.backend == "workstealing"
-        assert stolen.max_workers == 2
-        assert stolen.to_json() == serial_report.to_json()
+    def test_pool_reassembles_cost_ordered_cells_bit_identically(
+        self, serial_report
+    ):
+        # Across real process boundaries: per-cell submission in cost
+        # order, results reassembled in expansion order. The matrix's
+        # tenant counts make the two orders differ, so reassembly is real.
+        costs = [c.cost_estimate() for c in SMALL_MATRIX.expand()]
+        cost_order = sorted(range(len(costs)), key=lambda p: (-costs[p], p))
+        assert cost_order != list(range(len(costs)))
+        pooled = SweepRunner(max_workers=2, backend="pool").run(SMALL_MATRIX)
+        assert pooled.backend == "pool"
+        assert pooled.max_workers == 2
+        assert pooled.to_json() == serial_report.to_json()
 
     def test_explicit_pool_backend_bit_identical(self, serial_report):
         pooled = SweepRunner(max_workers=2, backend="pool").run(SMALL_MATRIX)
@@ -838,7 +843,7 @@ class TestCellCache:
 
     def test_warm_run_byte_identical_on_every_backend(self, cached_run):
         cache_dir, cold = cached_run
-        for backend in ("serial", "pool", "workstealing"):
+        for backend in ("serial", "pool"):
             warm = SweepRunner(
                 max_workers=2, backend=backend, cache_dir=cache_dir
             ).run(SMALL_MATRIX)
@@ -955,7 +960,7 @@ class TestProgressAndAttribution:
             with pytest.raises(
                 ExperimentError, match="scenario boom/.* failed"
             ):
-                SweepRunner(max_workers=2, backend="workstealing").run(matrix)
+                SweepRunner(max_workers=2, backend="pool").run(matrix)
         finally:
             SCENARIO_WORKFLOWS.pop("boom")
 
@@ -1080,9 +1085,8 @@ class TestTraceAxis:
         # boundaries.
         matrix = _trace_matrix(recorded_trace)
         serial = SweepRunner(max_workers=1, backend="serial").run(matrix)
-        for backend in ("pool", "workstealing"):
-            other = SweepRunner(max_workers=2, backend=backend).run(matrix)
-            assert other.to_json() == serial.to_json()
+        pooled = SweepRunner(max_workers=2, backend="pool").run(matrix)
+        assert pooled.to_json() == serial.to_json()
         # The replay cell genuinely served the trace's IA sub-stream, not
         # the synthetic arrivals.
         replay_cells = [
@@ -1206,124 +1210,6 @@ class TestDagHintsCache:
             assert dag_hints_cache_dir() == str(tmp_path / "my-dag-hints")
         finally:
             set_dag_hints_cache_dir(None)
-
-
-class TestCalibratedCosts:
-    def test_no_history_degenerates_to_static_heuristic(self, tmp_path):
-        from repro.scenarios.costs import CellCostModel
-
-        cells = SMALL_MATRIX.expand()
-        model = CellCostModel(tmp_path / "costs")
-        costs = model.estimate_all(cells)
-        assert costs == [c.cost_estimate() for c in cells]
-        assert model.stats() == {"calibrated": 0, "fallbacks": len(cells)}
-
-    def test_recorded_walls_feed_later_estimates(self, tmp_path):
-        from repro.scenarios.costs import CellCostModel
-
-        cells = SMALL_MATRIX.expand()
-        model = CellCostModel(tmp_path / "costs")
-        model.record(cells[0], 2.0)
-        model.record(cells[0], 4.0)
-        fresh = CellCostModel(tmp_path / "costs")  # re-read from disk
-        costs = fresh.estimate_all(cells[:1])
-        assert costs[0] == pytest.approx(3.0)  # mean of the history
-        assert fresh.stats()["calibrated"] == 1
-
-    def test_cost_families_pool_across_seeds_and_slo_scales(self, tmp_path):
-        import dataclasses
-
-        from repro.scenarios.costs import CellCostModel
-
-        cell = SMALL_MATRIX.expand()[0]
-        twin = dataclasses.replace(
-            cell, slo_scale=cell.slo_scale * 1.5, seed=cell.seed + 99
-        )
-        model = CellCostModel(tmp_path / "costs")
-        model.record(cell, 5.0)
-        assert CellCostModel(tmp_path / "costs").estimate_all(
-            [twin]
-        ) == [pytest.approx(5.0)]
-
-    def test_uncovered_cells_bridge_through_scaled_static(self, tmp_path):
-        import dataclasses
-
-        from repro.scenarios.costs import CellCostModel
-
-        cell = SMALL_MATRIX.expand()[0]
-        bigger = dataclasses.replace(cell, n_requests=3 * cell.n_requests)
-        model = CellCostModel(tmp_path / "costs")
-        model.record(cell, 2.0)
-        fresh = CellCostModel(tmp_path / "costs")
-        calibrated, bridged = fresh.estimate_all([cell, bigger])
-        # History serves the known family; the unknown one scales the
-        # static heuristic by the observed seconds-per-unit, so the 3x
-        # bigger cell costs 3x the calibrated wall.
-        assert calibrated == pytest.approx(2.0)
-        assert bridged == pytest.approx(6.0)
-
-    def test_corrupt_history_is_ignored(self, tmp_path):
-        from repro.scenarios.costs import CellCostModel
-
-        cells = SMALL_MATRIX.expand()
-        model = CellCostModel(tmp_path / "costs")
-        model.record(cells[0], 1.0)
-        victim = next((tmp_path / "costs").iterdir())
-        victim.write_text("{not json")
-        fresh = CellCostModel(tmp_path / "costs")
-        assert fresh.estimate_all(cells[:1]) == [cells[0].cost_estimate()]
-
-    def test_workstealing_dispatch_follows_calibrated_costs(self, tmp_path):
-        # Invert the static order via recorded history: the scheduler must
-        # follow the calibration, and the results must not change.
-        from repro.scenarios import WorkStealingBackend
-        from repro.scenarios.costs import CellCostModel
-
-        import dataclasses
-
-        cells = dataclasses.replace(
-            SMALL_MATRIX, tenant_counts=(1, 3), n_requests=4, samples=300
-        ).expand()
-        model = CellCostModel(tmp_path / "costs")
-        # Calibrate the two cost families (tenants=1 / tenants=3) upside
-        # down relative to the static heuristic: the single-tenant family
-        # measured an order of magnitude slower.
-        by_tenants = {cell.tenants: cell for cell in cells}
-        model.record(by_tenants[1], 10.0)
-        model.record(by_tenants[3], 0.5)
-        calibrated_model = CellCostModel(tmp_path / "costs")
-        seen: list[int] = []
-        out = WorkStealingBackend(
-            max_workers=1, cost_model=calibrated_model
-        ).run(cells, _cost_probe, on_complete=lambda pos, _: seen.append(pos))
-        walls = calibrated_model.estimate_all(cells)
-        expected = sorted(
-            range(len(cells)), key=lambda pos: (-walls[pos], pos)
-        )
-        assert seen == expected
-        assert seen != sorted(
-            range(len(cells)),
-            key=lambda pos: (-cells[pos].cost_estimate(), pos),
-        )
-        assert out == [c.scenario_id for c in cells]  # order preserved
-
-    def test_sweep_records_walls_under_the_cache_dir(self, tmp_path):
-        import json as json_mod
-
-        matrix = ScenarioMatrix(
-            workflows=("IA",), policies=("Janus",), n_requests=5,
-            samples=300, seed=37,
-        )
-        SweepRunner(max_workers=1, cache_dir=tmp_path).run(matrix)
-        files = list((tmp_path / "costs").iterdir())
-        assert len(files) == 1
-        doc = json_mod.loads(files[0].read_text())
-        assert doc["schema"] == 1
-        assert len(doc["walls"]) == 1 and doc["walls"][0] > 0
-        # A warm re-run resolves cells from the cache, so no new walls.
-        SweepRunner(max_workers=1, cache_dir=tmp_path).run(matrix)
-        doc = json_mod.loads(files[0].read_text())
-        assert len(doc["walls"]) == 1
 
 
 class TestReviewHardening:

@@ -1,134 +1,9 @@
-"""Simulation resources and monitors."""
+"""The simulation time-series monitor."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import CapacityResource, Counter, Simulator, Store, TimeSeries
-
-
-class TestCapacityResource:
-    def test_immediate_grant(self):
-        sim = Simulator()
-        res = CapacityResource(sim, 10.0)
-        ev = res.acquire(4.0)
-        sim.run()
-        assert ev.processed
-        assert res.in_use == 4.0 and res.available == 6.0
-
-    def test_fifo_blocking(self):
-        sim = Simulator()
-        res = CapacityResource(sim, 10.0)
-        grants = []
-
-        def worker(name, amount, hold_ms):
-            yield res.acquire(amount)
-            grants.append((name, sim.now))
-            yield sim.timeout(hold_ms)
-            res.release(amount)
-
-        sim.process(worker("a", 8.0, 10.0))
-        sim.process(worker("b", 5.0, 10.0))  # must wait for a's release
-        sim.run()
-        assert grants == [("a", 0.0), ("b", 10.0)]
-
-    def test_head_of_line_blocking(self):
-        # A small request behind a large one must wait (kubelet-style FIFO):
-        # occupy 5 first, then queue big (9) then small (1).
-        sim2 = Simulator()
-        res2 = CapacityResource(sim2, 10.0)
-        order2 = []
-
-        def w2(name, amount):
-            yield res2.acquire(amount)
-            order2.append((name, sim2.now))
-
-        def holder():
-            yield res2.acquire(5.0)
-            yield sim2.timeout(5.0)
-            res2.release(5.0)
-
-        sim2.process(holder())
-        sim2.process(w2("big", 9.0))
-        sim2.process(w2("small", 1.0))
-        sim2.run()
-        assert order2[0][0] == "big"  # small never jumps the queue
-
-    def test_over_capacity_request_rejected(self):
-        sim = Simulator()
-        res = CapacityResource(sim, 10.0)
-        with pytest.raises(SimulationError):
-            res.acquire(11.0)
-
-    def test_invalid_amounts_rejected(self):
-        sim = Simulator()
-        res = CapacityResource(sim, 10.0)
-        with pytest.raises(SimulationError):
-            res.acquire(0)
-        with pytest.raises(SimulationError):
-            res.release(0)
-
-    def test_release_more_than_in_use_rejected(self):
-        sim = Simulator()
-        res = CapacityResource(sim, 10.0)
-        res.acquire(3.0)
-        sim.run()
-        with pytest.raises(SimulationError):
-            res.release(5.0)
-
-    def test_queue_length(self):
-        sim = Simulator()
-        res = CapacityResource(sim, 2.0)
-        res.acquire(2.0)
-        res.acquire(1.0)
-        assert res.queue_length == 1
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(SimulationError):
-            CapacityResource(Simulator(), 0)
-
-
-class TestStore:
-    def test_put_then_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put("item")
-        ev = store.get()
-        sim.run()
-        assert ev.value == "item"
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def consumer():
-            item = yield store.get()
-            got.append((item, sim.now))
-
-        def producer():
-            yield sim.timeout(7.0)
-            store.put("late")
-
-        sim.process(consumer())
-        sim.process(producer())
-        sim.run()
-        assert got == [("late", 7.0)]
-
-    def test_fifo_order(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put(1)
-        store.put(2)
-        a, b = store.get(), store.get()
-        sim.run()
-        assert (a.value, b.value) == (1, 2)
-
-    def test_try_get(self):
-        store = Store(Simulator())
-        assert store.try_get() is None
-        store.put("x")
-        assert store.try_get() == "x"
-        assert len(store) == 0
+from repro.sim import TimeSeries
 
 
 class TestTimeSeries:
@@ -167,19 +42,3 @@ class TestTimeSeries:
         assert list(ts.times()) == [1.0]
         assert list(ts.values()) == [2.0]
         assert len(ts) == 1
-
-
-class TestCounter:
-    def test_increment_and_rate(self):
-        c = Counter("events")
-        c.increment()
-        c.increment(4)
-        assert c.count == 5
-        assert c.rate(10.0) == pytest.approx(0.5)
-
-    def test_rate_zero_elapsed(self):
-        assert Counter("x").rate(0.0) == 0.0
-
-    def test_non_positive_increment_rejected(self):
-        with pytest.raises(SimulationError):
-            Counter("x").increment(0)
