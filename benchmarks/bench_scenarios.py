@@ -810,8 +810,8 @@ def test_distributed_fabric(benchmark, bench_requests, bench_samples):
     deliberately not guarded, since real-cell overlap depends on CPUs.
     Part two reshapes the same matrix's calibrated cost spread into
     :class:`SleepCell` work and drives it through the full coordinator
-    (wire protocol, LPT queues, stealing) with in-process workers; its
-    ``two_worker_speedup`` is machine-independent and guarded by
+    (wire protocol, the one cost-ordered queue) with in-process workers;
+    its ``two_worker_speedup`` is machine-independent and guarded by
     ``check_regression.py``.
     """
     import threading
@@ -851,7 +851,7 @@ def test_distributed_fabric(benchmark, bench_requests, bench_samples):
 
         backend = DistributedBackend(
             hosts=",".join(labels), launch=False, bind="127.0.0.1",
-            idle_delay=0.01, on_listen=on_listen,
+            on_listen=on_listen,
         )
         start = time.perf_counter()
         out = backend.run(cells, eval_sleep_cell)

@@ -127,10 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution backend: 'serial' (in-process), 'pool' (process "
              "pool, most expensive cells dispatched first; --progress "
              "lines print in completion order), 'distributed' "
-             "(multi-host coordinator over --hosts with cross-host "
-             "stealing and cell-cache resume). Default: serial when "
-             "--jobs 1, pool otherwise. Results are bit-identical "
-             "across backends")
+             "(multi-host coordinator over --hosts, one queue in the "
+             "same order; workers need no shared filesystem). Default: "
+             "serial when --jobs 1, pool otherwise. Results are "
+             "bit-identical across backends")
     sweep_p.add_argument(
         "--hosts", default=None,
         help="distributed fleet as comma-separated host[:nproc] specs, "
@@ -143,14 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shared fabric secret: the coordinator HMAC-challenges every "
              "connecting worker and rejects peers that cannot answer "
              "(default: $JANUS_FABRIC_TOKEN; needs --backend distributed)")
-    sweep_p.add_argument(
-        "--cache-mode", choices=["shared", "protocol"], default=None,
-        dest="cache_mode",
-        help="how distributed workers reach the cell cache: 'shared' "
-             "(workers open --cache-dir directly — same filesystem, the "
-             "default) or 'protocol' (GET/PUT over the task socket — no "
-             "shared filesystem needed). Needs --backend distributed "
-             "and --cache-dir")
     sweep_p.add_argument(
         "--cache-dir", default=os.environ.get("JANUS_SWEEP_CACHE"),
         help="content-addressed cache directory: per-cell results plus "
@@ -420,6 +412,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         parse_fleet,
     )
 
+    backend_options: dict[str, _t.Any] = {}
+    if args.backend == "distributed":
+        backend_options["hosts"] = args.hosts or "local:2"
+        if args.auth_token:
+            backend_options["auth_token"] = args.auth_token
+    elif args.hosts or args.auth_token:
+        flag = "--hosts" if args.hosts else "--auth-token"
+        raise ExperimentError(f"{flag} requires --backend distributed")
+
     def _split(text: str) -> list[str]:
         return [part.strip() for part in text.split(",") if part.strip()]
 
@@ -473,20 +474,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     matrix = ScenarioMatrix(**matrix_kwargs)
     print(f"sweeping {len(matrix)} scenario cells "
           f"({len(matrix.policies)} policies each)...")
-    backend_options: dict[str, _t.Any] = {}
-    if args.backend == "distributed":
-        backend_options["hosts"] = args.hosts or "local:2"
-        if args.cache_mode:
-            backend_options["cache_mode"] = args.cache_mode
-        if args.auth_token:
-            backend_options["auth_token"] = args.auth_token
-    elif args.hosts or args.cache_mode or args.auth_token:
-        flag = (
-            "--hosts"
-            if args.hosts
-            else "--cache-mode" if args.cache_mode else "--auth-token"
-        )
-        raise SystemExit(f"{flag} requires --backend distributed")
     runner = SweepRunner(
         max_workers=args.jobs,
         backend=args.backend,

@@ -10,10 +10,9 @@ first-class object:
   streams derived from one master seed.
 * :class:`SweepRunner` — executes the matrix through
   :meth:`repro.api.Session.compare` on a pluggable
-  :class:`ExecutionBackend` (``serial``, the process ``pool`` that
-  dispatches expensive cells first, or the multi-host ``distributed``
-  fabric with cross-host stealing and cell-cache resume), with
-  bit-identical results on every backend.
+  :class:`ExecutionBackend` (``serial``, or the process ``pool`` and the
+  multi-host ``distributed`` fabric, which both dispatch expensive cells
+  first), with bit-identical results on every backend.
 * :class:`CellCache` — content-addressed per-cell result persistence
   (plus disk layers behind the DP/hints memos) so repeated and
   overlapping sweeps skip already-computed cells.

@@ -11,10 +11,11 @@ here (the multi-host ``distributed`` fabric registers from
 * ``serial`` — in-process loop; the reference for determinism tests.
 * ``pool`` — per-cell ``submit`` to a
   ``concurrent.futures.ProcessPoolExecutor``. Cells are dispatched in
-  descending :meth:`~repro.scenarios.matrix.Scenario.cost_estimate`
-  order so the expensive ones start first and cheap ones pack around
-  them, and completion callbacks fire as cells finish, so one failing
-  cell never hides the cells that finished before it.
+  :func:`dispatch_order` (descending
+  :meth:`~repro.scenarios.matrix.Scenario.cost_estimate`) so the
+  expensive ones start first and cheap ones pack around them, and
+  completion callbacks fire as cells finish, so one failing cell never
+  hides the cells that finished before it.
 
 New backends register by name::
 
@@ -45,6 +46,7 @@ __all__ = [
     "backend_names",
     "get_backend",
     "resolve_backend",
+    "dispatch_order",
 ]
 
 #: Called in the *parent* process as each cell completes:
@@ -138,7 +140,7 @@ def resolve_backend(
     ``None`` keeps the historical behaviour: serial when ``max_workers``
     <= 1, the process pool otherwise. A string resolves through the
     registry; an instance passes through unchanged (its own worker
-    settings win). Extra ``options`` (e.g. the runner's ``cache_dir``)
+    settings win). Extra ``options`` (e.g. the distributed ``hosts``)
     reach the factory subject to :func:`get_backend`'s signature
     filtering, so backends that don't take them ignore them.
     """
@@ -150,6 +152,20 @@ def resolve_backend(
             **options,
         )
     return backend
+
+
+def dispatch_order(items: _t.Sequence[_t.Any]) -> list[int]:
+    """Positions of ``items``, costliest ``cost_estimate()`` first.
+
+    Ties keep submission order, so dispatch is deterministic; an item
+    without an estimate weighs 1. Estimates order dispatch only — every
+    backend still returns outcomes in submission order.
+    """
+    costs = [
+        float(item.cost_estimate()) if hasattr(item, "cost_estimate") else 1.0
+        for item in items
+    ]
+    return sorted(range(len(items)), key=lambda pos: (-costs[pos], pos))
 
 
 @register_backend("serial")
@@ -189,9 +205,8 @@ class PoolBackend:
     """Per-cell submission, most expensive first, reassembled in order.
 
     ``submit``/``as_completed`` keeps every worker busy until the queue is
-    drained; dispatching in descending cost-estimate order (ties broken by
-    expansion position, so dispatch is deterministic) ensures the
-    long-pole cells cannot end up straggling behind a drained queue.
+    drained; dispatching in :func:`dispatch_order` ensures the long-pole
+    cells cannot end up straggling behind a drained queue.
     Completion callbacks fire in true completion order, so the runner
     caches every finished cell even when another cell fails.
     """
@@ -219,10 +234,6 @@ class PoolBackend:
     ) -> list[_t.Any]:
         if not scenarios:
             return []
-        costs = [s.cost_estimate() for s in scenarios]
-        order = sorted(
-            range(len(scenarios)), key=lambda pos: (-costs[pos], pos)
-        )
         out: list[_t.Any] = [None] * len(scenarios)
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=self.workers_for(len(scenarios)),
@@ -231,7 +242,8 @@ class PoolBackend:
             initargs=initargs if initializer is not None else (),
         ) as pool:
             futures = {
-                pool.submit(fn, scenarios[pos]): pos for pos in order
+                pool.submit(fn, scenarios[pos]): pos
+                for pos in dispatch_order(scenarios)
             }
             for future in concurrent.futures.as_completed(futures):
                 pos = futures[future]

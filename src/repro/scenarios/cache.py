@@ -68,12 +68,10 @@ def scenario_digest(scenario: Scenario) -> str:
 
     Memoised per :class:`Scenario` instance (epoch- and version-guarded,
     so a workflow re-registration or version bump still invalidates):
-    ``lookup`` + ``store`` hash each cell twice, and the distributed
-    coordinator's skip-before-dispatch pass makes it a third time.
-    Matrix expansion creates fresh instances per run, so the memo can
-    never outlive the specs it describes — and it rides along when a
-    cell is pickled to a worker, sparing the worker-side cache the
-    re-hash too. Replay cells are deliberately never memoised: their
+    the runner's ``lookup`` before dispatch and ``store`` on completion
+    hash each evaluated cell twice. Matrix expansion creates fresh
+    instances per run, so the memo can never outlive the specs it
+    describes. Replay cells are deliberately never memoised: their
     digest folds in the trace file's *content*, so editing the trace
     must cold-start exactly those cells even on an already-hashed
     instance.

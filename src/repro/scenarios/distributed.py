@@ -9,31 +9,30 @@ while keeping every contract the single-host backends pin:
   completion order, and the result list is reassembled in submission
   (expansion) order — so the :class:`~repro.scenarios.report.SweepReport`
   JSON matches ``serial``/``pool`` byte for byte.
-* **Shared resume log.** The content-addressed
-  :class:`~repro.scenarios.cache.CellCache` is the fabric's ledger: the
-  runner skips cached cells before anything is dispatched, and workers
-  look up / write through either a shared cache directory (``shared``
-  mode, same filesystem on every host) or a GET/PUT exchange over the
-  task socket (``protocol`` mode, no shared filesystem needed). A killed
-  10k-cell sweep restarts and evaluates only the remainder, and no host
-  re-runs a cell another host already stored.
-* **Cost-ordered scheduling.** Each cell's
-  :meth:`~repro.scenarios.matrix.Scenario.cost_estimate` orders the
-  initial per-host queues (longest-processing-time assignment weighted by
-  each host's slot count, most-expensive-first within a queue), and the
-  pull-based loop lets a drained host *steal* from the host with the most
-  remaining estimated work — estimates order dispatch, never results.
-* **Loss tolerance.** A dead worker's in-flight cells are re-queued and
-  re-dispatched (bounded by ``max_redispatch``); per-cell worker errors
-  arrive as the same cell-naming :class:`~repro.errors.ExperimentError`
-  chain the pool backends raise, and the first one fails the sweep fast
-  — remaining workers drain to an orderly stop instead of chewing
-  through the queue.
+* **One cost-ordered queue.** Every worker's ``next`` takes the head of
+  one queue in :func:`~repro.scenarios.backends.dispatch_order`, the
+  order the ``pool`` backend submits in: costliest
+  :meth:`~repro.scenarios.matrix.Scenario.cost_estimate` first. A
+  ``next`` that finds the queue empty while cells are still in flight
+  waits for a requeued cell or the end of the run. Estimates order
+  dispatch, never results.
+* **The runner owns the cell cache.** The sweep runner skips cached
+  cells before anything is dispatched and stores each cell as its result
+  arrives here, so workers need no shared filesystem. A killed sweep
+  restarts and evaluates only the cells that were not stored.
+* **Loss tolerance.** A dead worker's in-flight cell goes back to the
+  head of the queue (bounded by ``max_redispatch``); per-cell worker
+  errors arrive as the same cell-naming
+  :class:`~repro.errors.ExperimentError` chain the pool backend raises,
+  and the first one fails the sweep fast — remaining workers drain to an
+  orderly stop instead of chewing through the queue. A peer whose
+  handshake is malformed, of another wire version, unauthenticated or
+  silent past ``connect_timeout`` costs only its own connection.
 
 Hosts are declared as ``host[:nproc]`` specs — ``local:4`` socket-launches
 four slots on this machine (tests, CI, single-node speedups), anything
 else is launched over SSH (``ssh HOST python3 -m repro.scenarios.worker
---connect ...``). Per-host throughput/steal/loss counters surface in
+--connect ...``). Per-host throughput/loss counters surface in
 ``SweepReport.backend_stats`` via :meth:`DistributedBackend.stats`.
 """
 
@@ -52,8 +51,21 @@ import time
 import typing as _t
 
 from ..errors import ExperimentError
-from .backends import CompletionCallback, Initializer, register_backend
-from .wire import AUTH_ENV, WIRE_VERSION, auth_digest, recv_msg, send_msg
+from .backends import (
+    CompletionCallback,
+    Initializer,
+    dispatch_order,
+    register_backend,
+)
+from .wire import (
+    AUTH_ENV,
+    WIRE_VERSION,
+    auth_digest,
+    recv_json,
+    recv_msg,
+    send_json,
+    send_msg,
+)
 
 if _t.TYPE_CHECKING:  # pragma: no cover - typing only
     from .matrix import Scenario
@@ -117,20 +129,13 @@ def parse_hosts(hosts: "str | _t.Sequence[str]") -> tuple[HostSpec, ...]:
 
 @dataclasses.dataclass
 class _HostState:
-    """Coordinator-side ledger for one declared host."""
+    """Coordinator-side ledger for one declared (or adopted) host label."""
 
-    spec: HostSpec
-    queue: collections.deque = dataclasses.field(
-        default_factory=collections.deque
-    )
-    queued_cost: float = 0.0
     workers: int = 0
     ever_connected: int = 0
     completed: int = 0
-    steals: int = 0
     lost: int = 0
     wall_seconds: float = 0.0
-    cache_hits: int = 0
 
 
 class _RunState:
@@ -139,34 +144,48 @@ class _RunState:
     def __init__(
         self,
         items: _t.Sequence[_t.Any],
-        costs: _t.Sequence[float],
         specs: _t.Sequence[HostSpec],
-        idle_delay: float,
+        setup: dict[str, _t.Any],
     ) -> None:
         self.items = items
-        self.costs = costs
-        self.hosts = {spec.label: _HostState(spec) for spec in specs}
-        self.idle_delay = idle_delay
+        self.queue = collections.deque(dispatch_order(items))
+        self.hosts = {spec.label: _HostState() for spec in specs}
+        self.setup = setup
         self.lock = threading.Lock()
+        # Wakes handlers parked in take(): notified on a requeue and on
+        # stop or fail (teardown stops the run right after its last
+        # result).
+        self.changed = threading.Condition(self.lock)
         self.events: _queue.Queue = _queue.Queue()
         self.remaining = len(items)
         self.redispatch: collections.Counter[int] = collections.Counter()
-        self.redispatched = 0
         self.error: BaseException | None = None
         self.stop = False
-        self.connected = threading.Event()
-        self.cache: _t.Any = None
-        self.cache_gets = 0
-        self.cache_get_hits = 0
-        self.cache_puts = 0
-        self.setup: dict[str, _t.Any] = {}
+        # Handlers of accepted peers: the only ones teardown waits for.
+        self.handlers: list[threading.Thread] = []
+
+    def take(self) -> int | None:
+        """The queue's head for a worker's ``next`` (caller holds the lock).
+
+        While the queue is empty but cells are in flight, wait: a lost
+        worker's cell may come back. ``None`` once the run is over.
+        """
+        while not (self.stop or self.queue or self.remaining == 0):
+            self.changed.wait()
+        return None if self.stop or not self.queue else self.queue.popleft()
+
+    def halt(self) -> None:
+        """Stop dispatch, release parked handlers (caller holds the lock)."""
+        self.stop = True
+        self.changed.notify_all()
 
     def fail(self, exc: BaseException) -> None:
-        # First error wins; stopping gates further dispatch so workers
+        # First error wins; halting gates further dispatch so workers
         # drain to ("done",) instead of evaluating the rest of the queue.
         if self.error is None:
             self.error = exc
-        self.stop = True
+        self.halt()
+        self.events.put(("failed", None, None))
 
 
 def _src_dir() -> str:
@@ -181,13 +200,10 @@ class DistributedBackend:
     """Multi-host coordinator backend (see the module docstring).
 
     ``hosts`` takes the fleet declaration (:func:`parse_hosts` format).
-    ``cache_dir``/``cache_mode`` configure the shared resume log — the
-    sweep runner passes its own cache dir through automatically, and the
-    mode defaults to ``shared`` whenever a cache dir exists (pass
-    ``"protocol"`` when worker hosts cannot see the coordinator's
-    filesystem). ``launch=False`` skips launching agents: workers joined
-    externally (a manually started fleet, or in-process test threads via
-    the ``on_listen`` hook) are adopted by label.
+    ``launch=False`` skips launching agents: workers joined externally (a
+    manually started fleet, or in-process test threads via the
+    ``on_listen`` hook) are adopted by label. ``connect_timeout`` bounds
+    both the wait for the first worker and each peer's handshake.
 
     Note the runner's ``--jobs``/``max_workers`` knob does not cap this
     backend — parallelism is the sum of ``nproc`` slots in ``hosts``.
@@ -198,40 +214,30 @@ class DistributedBackend:
     def __init__(
         self,
         hosts: "str | _t.Sequence[str]" = "local",
-        cache_dir: "str | os.PathLike[str] | None" = None,
-        cache_mode: str | None = None,
         python: str | None = None,
         ssh_command: _t.Sequence[str] = ("ssh",),
         bind: str | None = None,
         advertise: str | None = None,
         connect_timeout: float = 20.0,
-        idle_delay: float = 0.05,
         max_redispatch: int = 2,
         launch: bool = True,
         on_listen: _t.Callable[[str, int], None] | None = None,
         auth_token: str | None = None,
     ) -> None:
         self.specs = parse_hosts(hosts)
-        if cache_mode not in (None, "shared", "protocol"):
-            raise ExperimentError(
-                f"unknown distributed cache mode {cache_mode!r} "
-                f"(use 'shared' or 'protocol')"
-            )
-        self.cache_dir = None if cache_dir is None else os.fspath(cache_dir)
-        self.cache_mode = cache_mode
         self.python = python
         self.ssh_command = tuple(ssh_command)
         self.bind = bind
         self.advertise = advertise
         self.connect_timeout = float(connect_timeout)
-        self.idle_delay = float(idle_delay)
         self.max_redispatch = int(max_redispatch)
         self.launch = launch
         self.on_listen = on_listen
         # A set token turns the hello handshake into an HMAC challenge:
         # every connecting worker must prove it holds the same secret
-        # before the pickled setup payload is sent (pickles execute code
-        # on load — never deserialise for an unauthenticated peer).
+        # before any pickle crosses the wire in either direction (pickles
+        # execute code on load — never deserialise for an unauthenticated
+        # peer).
         if auth_token is None:
             auth_token = os.environ.get(AUTH_ENV) or None
         self.auth_token = auth_token
@@ -243,64 +249,13 @@ class DistributedBackend:
         return max(1, min(slots, n_tasks)) if n_tasks else 1
 
     def stats(self) -> dict[str, _t.Any]:
-        """Per-host scheduling diagnostics of the last :meth:`run`."""
+        """Per-host throughput/loss diagnostics of the last :meth:`run`."""
         return dict(self._stats)
 
-    # -- scheduling ----------------------------------------------------------
-    def _costs(self, items: _t.Sequence[_t.Any]) -> list[float]:
-        out: list[float] = []
-        for item in items:
-            try:
-                out.append(float(item.cost_estimate()))
-            except Exception:
-                out.append(1.0)
-        return out
-
-    def _assign(self, st: _RunState) -> None:
-        """LPT assignment: costliest cells first, to the least-loaded host.
-
-        Load is normalised by slot count so ``big:4`` absorbs four times
-        the work of ``small:1``. Each host queue ends up in descending
-        cost order, so ``popleft`` is most-expensive-first dispatch.
-        """
-        order = sorted(
-            range(len(st.items)), key=lambda pos: (-st.costs[pos], pos)
-        )
-        loads = {label: 0.0 for label in st.hosts}
-        for pos in order:
-            label = min(
-                st.hosts,
-                key=lambda lb: (loads[lb] / st.hosts[lb].spec.nproc, lb),
-            )
-            host = st.hosts[label]
-            host.queue.append(pos)
-            host.queued_cost += st.costs[pos]
-            loads[label] += st.costs[pos]
-
-    def _pick(self, st: _RunState, host: _HostState) -> int | None:
-        """Next position for a worker of ``host`` (caller holds the lock).
-
-        Own queue first; a drained host steals from the victim with the
-        most remaining estimated work, which is exactly the host whose
-        straggler risk is highest.
-        """
-        if host.queue:
-            pos = host.queue.popleft()
-            host.queued_cost -= st.costs[pos]
-            return pos
-        victims = [h for h in st.hosts.values() if h.queue]
-        if not victims:
-            return None
-        victim = max(victims, key=lambda h: (h.queued_cost, h.spec.label))
-        pos = victim.queue.popleft()
-        victim.queued_cost -= st.costs[pos]
-        host.steals += 1
-        return pos
-
-    def _requeue(self, st: _RunState, host: _HostState, pos: int) -> None:
-        """Return a dead worker's in-flight cell to its host queue."""
+    # -- connection handling -------------------------------------------------
+    def _requeue(self, st: _RunState, pos: int) -> None:
+        """Return a dead worker's in-flight cell to the head of the queue."""
         st.redispatch[pos] += 1
-        st.redispatched += 1
         if st.redispatch[pos] > self.max_redispatch:
             name = getattr(st.items[pos], "scenario_id", None) or f"task {pos}"
             st.fail(
@@ -309,75 +264,86 @@ class DistributedBackend:
                     f"(max_redispatch={self.max_redispatch}); giving up"
                 )
             )
-            st.events.put(("failed", None, None))
             return
-        host.queue.appendleft(pos)
-        host.queued_cost += st.costs[pos]
+        st.queue.appendleft(pos)
+        st.changed.notify_all()
 
-    # -- connection handling -------------------------------------------------
+    @staticmethod
+    def _authenticated(conn: socket.socket, token: str) -> bool:
+        """Challenge the peer with a fresh nonce; does it hold ``token``?"""
+        nonce = os.urandom(16).hex()
+        send_json(conn, ["challenge", nonce])
+        answer = recv_json(conn)
+        return (
+            isinstance(answer, list)
+            and len(answer) == 2
+            and answer[0] == "auth"
+            and isinstance(answer[1], str)
+            # Bytes, not str: compare_digest raises on non-ASCII text.
+            and hmac.compare_digest(
+                answer[1].encode("utf-8"),
+                auth_digest(token, nonce).encode("utf-8"),
+            )
+        )
+
+    def _handshake(self, conn: socket.socket) -> str | None:
+        """The peer's label once its JSON handshake is accepted, else ``None``.
+
+        Nothing from the peer is unpickled here, and ``connect_timeout``
+        bounds every read, so a garbage, stale, unauthenticated or silent
+        peer costs only its own connection. A rejected peer is told why
+        when its socket still takes a reply.
+        """
+        conn.settimeout(self.connect_timeout)
+        try:
+            hello = recv_json(conn)
+            if hello is None:
+                return None
+            if not (
+                isinstance(hello, list)
+                and len(hello) == 4
+                and hello[0] == "hello"
+                and isinstance(hello[2], str)
+            ):
+                reason = "malformed hello"
+            elif hello[1] != WIRE_VERSION:
+                reason = (
+                    f"wire version {hello[1]!r}; coordinator speaks "
+                    f"{WIRE_VERSION}"
+                )
+            elif self.auth_token is not None and not self._authenticated(
+                conn, self.auth_token
+            ):
+                reason = (
+                    "authentication failed: token does not match the "
+                    f"coordinator's (check --auth-token / ${AUTH_ENV})"
+                )
+            else:
+                send_json(conn, ["accept"])
+                conn.settimeout(None)
+                return hello[2]
+        except (ValueError, RecursionError, ExperimentError) as exc:
+            reason = f"malformed handshake frame ({type(exc).__name__})"
+        send_json(conn, ["reject", reason])
+        return None
+
     def _serve_connection(self, st: _RunState, conn: socket.socket) -> None:
         host: _HostState | None = None
         in_flight: int | None = None
         orderly = False
         try:
-            hello = recv_msg(conn)
-            if not (
-                isinstance(hello, tuple)
-                and len(hello) == 4
-                and hello[0] == "hello"
-            ):
-                send_msg(conn, ("reject", "malformed hello"))
+            label = self._handshake(conn)
+            if label is None:
                 return
-            _, version, label, _pid = hello
-            if version != WIRE_VERSION:
-                send_msg(
-                    conn,
-                    (
-                        "reject",
-                        f"wire version {version!r}; coordinator speaks "
-                        f"{WIRE_VERSION}",
-                    ),
-                )
-                return
-            if self.auth_token is not None:
-                # Fresh nonce per connection; the worker must answer with
-                # the HMAC of it under the shared secret before anything
-                # else (registration, setup pickle) happens.
-                nonce = os.urandom(16).hex()
-                send_msg(conn, ("challenge", nonce))
-                answer = recv_msg(conn)
-                if not (
-                    isinstance(answer, tuple)
-                    and len(answer) == 2
-                    and answer[0] == "auth"
-                    and isinstance(answer[1], str)
-                    and hmac.compare_digest(
-                        answer[1], auth_digest(self.auth_token, nonce)
-                    )
-                ):
-                    send_msg(
-                        conn,
-                        (
-                            "reject",
-                            "authentication failed: token does not match "
-                            "the coordinator's (check --auth-token / "
-                            f"${AUTH_ENV})",
-                        ),
-                    )
-                    return
             with st.lock:
-                host = st.hosts.get(label)
-                if host is None:
-                    # Externally-joined worker under an undeclared label
-                    # (launch=False fleets): adopt it with an empty queue —
-                    # it lives entirely off stealing.
-                    host = st.hosts[label] = _HostState(
-                        HostSpec(label=label, host=label, nproc=1)
-                    )
+                # An externally-joined worker under an undeclared label
+                # (launch=False fleets) is adopted; it pulls from the same
+                # queue as every declared host.
+                host = st.hosts.setdefault(label, _HostState())
                 host.workers += 1
                 host.ever_connected += 1
-            st.connected.set()
-            send_msg(conn, ("setup", st.setup))
+                st.handlers.append(threading.current_thread())
+            send_msg(conn, st.setup)
             while True:
                 msg = recv_msg(conn)
                 if msg is None:
@@ -385,21 +351,14 @@ class DistributedBackend:
                 kind = msg[0]
                 if kind == "next":
                     with st.lock:
-                        if st.stop or st.remaining == 0:
-                            reply: tuple = ("done",)
-                            orderly = True
-                        else:
-                            pos = self._pick(st, host)
-                            if pos is None:
-                                reply = ("idle", st.idle_delay)
-                            else:
-                                in_flight = pos
-                                reply = ("task", pos, st.items[pos])
-                    send_msg(conn, reply)
-                    if orderly:
+                        in_flight = st.take()
+                    if in_flight is None:
+                        orderly = True
+                        send_msg(conn, ("done",))
                         return
+                    send_msg(conn, ("task", in_flight, st.items[in_flight]))
                 elif kind == "result":
-                    _, pos, outcome, was_hit = msg
+                    _, pos, outcome = msg
                     in_flight = None
                     with st.lock:
                         st.remaining -= 1
@@ -407,8 +366,6 @@ class DistributedBackend:
                         host.wall_seconds += float(
                             getattr(outcome, "wall_seconds", 0.0) or 0.0
                         )
-                        if was_hit:
-                            host.cache_hits += 1
                     st.events.put(("result", pos, outcome))
                 elif kind == "error":
                     _, pos, exc = msg
@@ -419,26 +376,6 @@ class DistributedBackend:
                             if isinstance(exc, BaseException)
                             else ExperimentError(str(exc))
                         )
-                    st.events.put(("failed", None, None))
-                elif kind == "cache_get":
-                    _, pos = msg
-                    hit = (
-                        st.cache.lookup(st.items[pos])
-                        if st.cache is not None
-                        else None
-                    )
-                    with st.lock:
-                        st.cache_gets += 1
-                        if hit is not None:
-                            st.cache_get_hits += 1
-                    send_msg(conn, ("cache", hit))
-                elif kind == "cache_put":
-                    _, pos, result = msg
-                    if st.cache is not None:
-                        st.cache.store(st.items[pos], result)
-                    with st.lock:
-                        st.cache_puts += 1
-                    send_msg(conn, ("ok",))
                 else:
                     send_msg(conn, ("reject", f"unknown message {kind!r}"))
                     return
@@ -447,7 +384,6 @@ class DistributedBackend:
         except Exception as exc:  # defensive: a handler must never die silently
             with st.lock:
                 st.fail(exc)
-            st.events.put(("failed", None, None))
         finally:
             try:
                 conn.close()
@@ -459,9 +395,7 @@ class DistributedBackend:
                     if not orderly and not st.stop:
                         host.lost += 1
                         if in_flight is not None:
-                            self._requeue(st, host, in_flight)
-            # Wake the main loop so health checks / completion re-evaluate.
-            st.events.put(("tick", None, None))
+                            self._requeue(st, in_flight)
 
     # -- worker launching ----------------------------------------------------
     def launch_argv(self, spec: HostSpec, port: int) -> list[str]:
@@ -524,7 +458,6 @@ class DistributedBackend:
                         f"(hosts: {[s.label for s in self.specs]})"
                     )
                 )
-                st.events.put(("failed", None, None))
                 return
             if any(proc.poll() is None for proc in procs):
                 return  # a launched agent is still alive and may (re)connect
@@ -534,7 +467,6 @@ class DistributedBackend:
                     f"{st.remaining} cell(s) unfinished"
                 )
             )
-            st.events.put(("failed", None, None))
 
     # -- the run -------------------------------------------------------------
     def run(
@@ -548,28 +480,15 @@ class DistributedBackend:
         if not scenarios:
             return []
         items = list(scenarios)
-        st = _RunState(items, self._costs(items), self.specs, self.idle_delay)
-        cache_mode = self.cache_mode
-        if cache_mode is None and self.cache_dir:
-            cache_mode = "shared"
-        if cache_mode is not None and not self.cache_dir:
-            raise ExperimentError(
-                f"distributed cache mode {cache_mode!r} needs a cache dir"
-            )
-        if cache_mode == "protocol":
-            from .cache import CellCache
-
-            st.cache = CellCache(self.cache_dir)
-        st.setup = {
-            "fn": fn,
-            "initializer": initializer,
-            "initargs": tuple(initargs) if initializer is not None else (),
-            # Workers open the cache dir themselves only in shared mode;
-            # protocol-mode workers go through the coordinator instead.
-            "cache_dir": self.cache_dir if cache_mode == "shared" else None,
-            "cache_mode": cache_mode,
-        }
-        self._assign(st)
+        st = _RunState(
+            items,
+            self.specs,
+            {
+                "fn": fn,
+                "initializer": initializer,
+                "initargs": tuple(initargs) if initializer is not None else (),
+            },
+        )
 
         bind = self.bind or (
             "127.0.0.1"
@@ -588,7 +507,6 @@ class DistributedBackend:
         port = listener.getsockname()[1]
 
         conns: list[socket.socket] = []
-        handler_threads: list[threading.Thread] = []
 
         def _accept_loop() -> None:
             while True:
@@ -603,15 +521,11 @@ class DistributedBackend:
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 with st.lock:
                     conns.append(conn)
-                thread = threading.Thread(
+                threading.Thread(
                     target=self._serve_connection,
                     args=(st, conn),
                     daemon=True,
-                )
-                # Start before publishing: the teardown join snapshots this
-                # list, and joining a not-yet-started thread raises.
-                thread.start()
-                handler_threads.append(thread)
+                ).start()
 
         accept_thread = threading.Thread(target=_accept_loop, daemon=True)
         accept_thread.start()
@@ -627,42 +541,42 @@ class DistributedBackend:
             deadline = time.monotonic() + self.connect_timeout
             completed = 0
             while completed < len(items):
-                with st.lock:
-                    if st.error is not None:
-                        break
                 try:
                     kind, pos, outcome = st.events.get(timeout=0.25)
                 except _queue.Empty:
                     self._check_health(st, procs, deadline)
                     continue
-                if kind == "result":
-                    out[pos] = outcome
-                    completed += 1
-                    if on_complete is not None:
-                        # Fired from the coordinator thread only, in true
-                        # completion order — same contract as the pool
-                        # backends' parent-side callbacks.
-                        on_complete(pos, outcome)
-                elif kind == "failed":
+                if kind == "failed":
                     break
-                # "tick" events just re-evaluate the loop conditions.
-            with st.lock:
-                error = st.error
-                st.stop = True
+                out[pos] = outcome
+                completed += 1
+                if on_complete is not None:
+                    # Fired from the coordinator thread only, in true
+                    # completion order — same contract as the pool
+                    # backend's parent-side callbacks.
+                    on_complete(pos, outcome)
         finally:
             with st.lock:
-                st.stop = True
+                error = st.error
+                st.halt()
+                handlers = list(st.handlers)
             try:
                 listener.close()
             except OSError:
                 pass
-            # Let connected workers drain to their orderly ("done",) ...
-            for thread in list(handler_threads):
+            # Let accepted workers drain to their orderly ("done",); a peer
+            # still in its handshake is not waited for ...
+            for thread in handlers:
                 thread.join(timeout=5.0)
             # ... then drop anything still wedged and reap the agents.
             with st.lock:
                 pending_conns = list(conns)
             for conn in pending_conns:
+                try:
+                    # shutdown wakes a handler blocked in a handshake read.
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
                 try:
                     conn.close()
                 except OSError:
@@ -680,32 +594,18 @@ class DistributedBackend:
                     proc.kill()
                     proc.wait(timeout=5.0)
             accept_thread.join(timeout=1.0)
-            self._finish_stats(st, cache_mode)
+            self._stats = {
+                "hosts": {
+                    label: {
+                        "workers": h.ever_connected,
+                        "completed": h.completed,
+                        "lost": h.lost,
+                        "wall_seconds": round(h.wall_seconds, 6),
+                    }
+                    for label, h in sorted(st.hosts.items())
+                },
+                "redispatched": sum(st.redispatch.values()),
+            }
         if error is not None:
             raise error
         return out
-
-    def _finish_stats(self, st: _RunState, cache_mode: str | None) -> None:
-        hosts: dict[str, dict[str, _t.Any]] = {}
-        for label in sorted(st.hosts):
-            h = st.hosts[label]
-            hosts[label] = {
-                "workers": h.ever_connected,
-                "completed": h.completed,
-                "steals": h.steals,
-                "lost": h.lost,
-                "wall_seconds": round(h.wall_seconds, 6),
-                "cache_hits": h.cache_hits,
-            }
-        stats: dict[str, _t.Any] = {
-            "hosts": hosts,
-            "redispatched": st.redispatched,
-            "cache_mode": cache_mode or "",
-        }
-        if cache_mode == "protocol":
-            stats["protocol_cache"] = {
-                "gets": st.cache_gets,
-                "hits": st.cache_get_hits,
-                "puts": st.cache_puts,
-            }
-        self._stats = stats

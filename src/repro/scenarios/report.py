@@ -134,7 +134,7 @@ class SweepReport:
     synthesis_cache: dict[str, dict[str, int]] = field(default_factory=dict)
     #: Backend scheduling diagnostics, for backends that report any — the
     #: distributed fabric's per-host ``{"hosts": {label: {"workers": ..,
-    #: "completed": .., "steals": .., "lost": .., ...}}, "redispatched":
+    #: "completed": .., "lost": .., "wall_seconds": ..}}, "redispatched":
     #: ..}`` counters. Diagnostics only, excluded from the JSON: which
     #: host evaluated a cell can never change the cell.
     backend_stats: dict[str, _t.Any] = field(default_factory=dict)
@@ -326,7 +326,6 @@ class SweepReport:
             table += (
                 f"\nhost {label}: {h.get('workers', 0)} worker(s), "
                 f"{h.get('completed', 0)} cell(s), "
-                f"{h.get('steals', 0)} steal(s), "
                 f"{h.get('lost', 0)} lost"
             )
         redispatched = self.backend_stats.get("redispatched", 0)

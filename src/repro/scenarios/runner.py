@@ -355,11 +355,12 @@ class SweepRunner:
     ``cache_dir`` enables content-addressed persistence: per-cell results
     (skipping already-computed cells on re-runs and overlapping sweeps)
     plus disk layers behind the DP/hints memos shared by every worker.
-    ``progress`` receives one line per resolved cell.
+    The runner is the cell cache's only reader and writer, whatever the
+    backend. ``progress`` receives one line per resolved cell.
 
     ``backend_options`` are extra constructor options for a string-named
     backend (e.g. ``{"hosts": "local:2,big:8"}`` for ``distributed``);
-    like ``cache_dir`` they pass through
+    they pass through
     :func:`~repro.scenarios.backends.resolve_backend`'s signature
     filtering, so options a backend doesn't declare are ignored.
     """
@@ -433,7 +434,7 @@ class SweepRunner:
         effective = min(self.max_workers, len(pending)) if pending else 1
         backend = resolve_backend(
             self.backend, max_workers=effective, mp_context=self.mp_context,
-            cache_dir=self.cache_dir, **self.backend_options,
+            **self.backend_options,
         )
         synth_stats: dict[str, dict[str, int]] = {}
         if pending:
@@ -442,7 +443,8 @@ class SweepRunner:
                 _, scenario = pending[pos]
                 # Store as cells complete, not after the whole run: one
                 # failing cell must not discard the finished work of
-                # every other cell.
+                # every other cell. Storing before the progress line
+                # means a printed cell survives a kill of this process.
                 if cache is not None:
                     cache.store(scenario, outcome.result)
                 self._emit(
@@ -494,8 +496,8 @@ class SweepRunner:
                 f"— every cell was skipped: {sorted(skipped)}"
             )
         # Backends with scheduling diagnostics (the distributed fabric's
-        # per-host throughput/steal/loss counters) surface them in the
-        # rendered report; like wall time they stay out of the JSON.
+        # per-host throughput/loss counters) surface them in the rendered
+        # report; like wall time they stay out of the JSON.
         stats_fn = getattr(backend, "stats", None)
         return SweepReport(
             results=results,

@@ -1,10 +1,17 @@
-"""Length-prefixed pickle framing for the distributed sweep fabric.
+"""Length-prefixed framing for the distributed sweep fabric.
 
-One frame is a 4-byte big-endian payload length followed by a pickled
-Python object. Both sides of the coordinator/worker socket speak only
-whole frames, so partial reads can never deliver a torn message, and an
-EOF between frames is an unambiguous "peer is gone" signal
-(:func:`recv_msg` returns ``None``) rather than an exception mid-object.
+One frame is a 4-byte big-endian payload length followed by the payload.
+Both sides of the coordinator/worker socket speak only whole frames, so
+partial reads can never deliver a torn message, and an EOF between frames
+is an unambiguous "peer is gone" signal (the receive functions return
+``None``) rather than an exception mid-object.
+
+Handshake frames (``hello``, ``challenge``, ``auth``, ``accept``,
+``reject``) carry JSON (:func:`send_json`/:func:`recv_json`): decoding
+one runs no code, so the coordinator reads a peer's first frames before
+it knows who the peer is. Every later frame carries a pickle
+(:func:`send_msg`/:func:`recv_msg`), and each side unpickles only what a
+peer sends after the handshake has accepted it.
 
 The protocol itself is a strict request/response vocabulary driven by the
 worker (see :mod:`repro.scenarios.worker` and
@@ -17,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import json
 import pickle
 import socket
 import struct
@@ -31,13 +39,15 @@ __all__ = [
     "auth_digest",
     "send_msg",
     "recv_msg",
+    "send_json",
+    "recv_json",
     "connect_with_retry",
 ]
 
 #: Handshake version, exchanged in the worker's ``hello``. Bumped whenever
 #: the message vocabulary changes shape, so a stale worker binary talking
 #: to a newer coordinator fails loudly instead of mis-pickling.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 #: Environment variable both sides fall back to for the shared fabric
 #: secret when no explicit ``--auth-token`` is given.
@@ -62,10 +72,20 @@ _HEADER = struct.Struct(">I")
 #: must not turn into a multi-gigabyte allocation.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
+#: Handshake frames are a few dozen bytes; a peer not yet accepted may
+#: not make the coordinator buffer more than this.
+MAX_JSON_BYTES = 64 * 1024
+
 
 def send_msg(sock: socket.socket, obj: _t.Any) -> None:
     """Send one framed, pickled object over ``sock``."""
     payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    sock.sendall(_HEADER.pack(len(payload)) + payload)
+
+
+def send_json(sock: socket.socket, obj: _t.Any) -> None:
+    """Send one framed JSON value (a handshake message) over ``sock``."""
+    payload = json.dumps(obj).encode("utf-8")
     sock.sendall(_HEADER.pack(len(payload)) + payload)
 
 
@@ -91,21 +111,38 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
     return b"".join(chunks)
 
 
-def recv_msg(sock: socket.socket) -> _t.Any | None:
-    """Receive one framed object, or ``None`` on a clean EOF."""
+def _recv_frame(sock: socket.socket, limit: int) -> bytes | None:
+    """One frame's payload, or ``None`` on a clean EOF."""
     header = _recv_exact(sock, _HEADER.size)
     if header is None:
         return None
     (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
+    if length > limit:
         raise ExperimentError(
             f"wire frame of {length} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte limit (corrupt stream?)"
+            f"{limit}-byte limit (corrupt stream?)"
         )
     payload = _recv_exact(sock, length)
     if payload is None:
         raise ConnectionError("peer closed between header and payload")
-    return pickle.loads(payload)
+    return payload
+
+
+def recv_msg(sock: socket.socket) -> _t.Any | None:
+    """Receive one framed, pickled object, or ``None`` on a clean EOF."""
+    payload = _recv_frame(sock, MAX_FRAME_BYTES)
+    return None if payload is None else pickle.loads(payload)
+
+
+def recv_json(sock: socket.socket) -> _t.Any | None:
+    """Receive one framed JSON value, or ``None`` on a clean EOF.
+
+    An oversized frame raises :class:`~repro.errors.ExperimentError`;
+    bytes that are not UTF-8 JSON raise :class:`ValueError`, or
+    :class:`RecursionError` when they nest too deeply.
+    """
+    payload = _recv_frame(sock, MAX_JSON_BYTES)
+    return None if payload is None else json.loads(payload.decode("utf-8"))
 
 
 def connect_with_retry(

@@ -3,27 +3,27 @@
 One agent serves one coordinator connection: it introduces itself with a
 ``hello`` frame, answers the coordinator's HMAC ``challenge`` when the
 fabric is token-protected (``--auth-token`` / ``$JANUS_FABRIC_TOKEN``),
-receives the pickled per-cell function (plus optional worker initializer
-and cache configuration) in the ``setup`` reply, then pulls work in a
-strict request/response loop::
+and once accepted receives the pickled per-cell function (plus an
+optional worker initializer) in the setup frame. The handshake frames are
+JSON, so neither side unpickles anything from a peer it has not accepted::
+
+    -> ["hello", version, label, pid]                       JSON
+    <- ["challenge", nonce]              (token set only)   JSON
+    -> ["auth", hmac_sha256(token, nonce)]                  JSON
+    <- ["accept"] | ["reject", reason]                      JSON
+    <- {"fn": ..., "initializer": ..., "initargs": ...}     pickle
+
+It then pulls work in a strict request/response loop::
 
     -> ("next",)
-    <- ("task", pos, item) | ("idle", delay_s) | ("done",)
-    -> ("result", pos, outcome, cache_hit) | ("error", pos, exception)
+    <- ("task", pos, item) | ("done",)
+    -> ("result", pos, outcome) | ("error", pos, exception)
 
-Pull-based dispatch is what makes cross-host stealing work: a drained
-agent's ``next`` simply gets handed a cell from a loaded host's queue.
-
-Cache integration mirrors the sweep runner's parent-side behaviour. In
-``shared`` mode the agent opens the coordinator's cell-cache directory
-itself (same filesystem, e.g. NFS) and looks up/stores cells locally; in
-``protocol`` mode it asks the coordinator over the same socket::
-
-    -> ("cache_get", pos)            <- ("cache", CachedCell | None)
-    -> ("cache_put", pos, result)    <- ("ok",)
-
-Either way a cell is stored *before* its result frame is sent, so an
-agent killed right after finishing a cell still leaves it resumable.
+Every ``next`` takes the head of the coordinator's one cost-ordered
+queue; when the queue is empty but cells are still in flight, the reply
+waits until a lost worker's cell is requeued or the run ends. The agent
+never touches the cell cache: the sweep runner looks cells up before
+dispatch and stores each one as its result arrives.
 
 Launched as ``python -m repro.scenarios.worker --connect HOST:PORT
 --label NAME [--nproc N]`` by the coordinator (locally or over SSH);
@@ -38,7 +38,6 @@ import argparse
 import os
 import pickle
 import sys
-import time
 import typing as _t
 
 from ..errors import ExperimentError
@@ -47,7 +46,9 @@ from .wire import (
     WIRE_VERSION,
     auth_digest,
     connect_with_retry,
+    recv_json,
     recv_msg,
+    send_json,
     send_msg,
 )
 
@@ -69,64 +70,14 @@ def _portable(exc: Exception) -> Exception:
         return ExperimentError(f"{type(exc).__name__}: {exc}")
 
 
-def _run_task(
-    sock: _t.Any,
-    fn: _t.Callable[[_t.Any], _t.Any],
-    pos: int,
-    item: _t.Any,
-    cache: _t.Any,
-    cache_mode: str | None,
-) -> None:
-    """Evaluate one dispatched item, short-circuiting through the cache."""
-    from .matrix import Scenario
-
-    cacheable = isinstance(item, Scenario)
-    if cacheable:
-        hit = None
-        if cache is not None:
-            hit = cache.lookup(item)
-        elif cache_mode == "protocol":
-            send_msg(sock, ("cache_get", pos))
-            reply = recv_msg(sock)
-            if reply is None:
-                raise ConnectionError("coordinator closed during cache_get")
-            hit = reply[1]
-        if hit is not None:
-            # Another sweep (or this one, before it was killed) already
-            # evaluated this cell: fabricate the outcome the per-cell
-            # function would have produced.
-            from .runner import CellOutcome
-
-            outcome = CellOutcome(
-                result=hit.result, wall_seconds=0.0, cache_stats={}
-            )
-            send_msg(sock, ("result", pos, outcome, True))
-            return
-    try:
-        outcome = fn(item)
-    except Exception as exc:
-        send_msg(sock, ("error", pos, _portable(exc)))
-        return
-    if cacheable and hasattr(outcome, "result"):
-        # Store before reporting: a worker killed between these two frames
-        # leaves the cell resumable instead of re-evaluated.
-        if cache is not None:
-            cache.store(item, outcome.result)
-        elif cache_mode == "protocol":
-            send_msg(sock, ("cache_put", pos, outcome.result))
-            if recv_msg(sock) is None:
-                raise ConnectionError("coordinator closed during cache_put")
-    send_msg(sock, ("result", pos, outcome, False))
-
-
 def _serve_socket(
     sock: _t.Any, label: str, auth_token: str | None = None
 ) -> None:
-    send_msg(sock, ("hello", WIRE_VERSION, label, os.getpid()))
-    reply = recv_msg(sock)
+    send_json(sock, ["hello", WIRE_VERSION, label, os.getpid()])
+    reply = recv_json(sock)
     if reply is None:
         return
-    if reply is not None and reply[0] == "challenge":
+    if reply[0] == "challenge":
         # Authenticated fabric: prove we hold the shared secret before
         # any work (or the pickled setup payload) crosses the wire.
         if auth_token is None:
@@ -134,43 +85,44 @@ def _serve_socket(
                 f"worker {label!r}: coordinator requires authentication — "
                 f"pass --auth-token or set ${AUTH_ENV}"
             )
-        send_msg(sock, ("auth", auth_digest(auth_token, reply[1])))
-        reply = recv_msg(sock)
+        send_json(sock, ["auth", auth_digest(auth_token, reply[1])])
+        reply = recv_json(sock)
         if reply is None:
             return
     if reply[0] == "reject":
         raise ExperimentError(
             f"coordinator rejected worker {label!r}: {reply[1]}"
         )
-    if reply[0] != "setup":
+    if reply[0] != "accept":
         raise ExperimentError(
-            f"worker {label!r}: expected setup, got {reply[0]!r}"
+            f"worker {label!r}: expected accept, got {reply[0]!r}"
         )
-    setup = reply[1]
+    # The connect timeout bounds the handshake only: a ``next`` may wait
+    # as long as the longest cell another agent has in flight.
+    sock.settimeout(None)
+    setup = recv_msg(sock)
+    if setup is None:
+        return
     fn = setup["fn"]
     initializer = setup.get("initializer")
     if initializer is not None:
         initializer(*setup.get("initargs", ()))
-    cache_mode = setup.get("cache_mode")
-    cache = None
-    if cache_mode == "shared" and setup.get("cache_dir"):
-        from .cache import CellCache
-
-        cache = CellCache(setup["cache_dir"])
     while True:
         send_msg(sock, ("next",))
         msg = recv_msg(sock)
         if msg is None or msg[0] == "done":
             return
-        if msg[0] == "idle":
-            time.sleep(float(msg[1]))
-            continue
         if msg[0] != "task":
             raise ExperimentError(
                 f"worker {label!r}: unexpected coordinator message {msg[0]!r}"
             )
         _, pos, item = msg
-        _run_task(sock, fn, pos, item, cache, cache_mode)
+        try:
+            outcome = fn(item)
+        except Exception as exc:
+            send_msg(sock, ("error", pos, _portable(exc)))
+        else:
+            send_msg(sock, ("result", pos, outcome))
 
 
 def serve(

@@ -11,12 +11,14 @@ unpickling resolves the test module through ``sys.modules``.
 
 from __future__ import annotations
 
+import glob
 import os
 import time
 
-#: Upper bound on how long :func:`double_once_two_agents` holds a cell
-#: waiting for the second agent; past it the cell completes anyway and the
-#: caller's worker-count assertion reports the shortfall.
+#: Upper bound on how long :func:`double_once_two_agents` (or a
+#: :class:`Costed` item's ``hold_for``) holds a cell waiting for other
+#: agents; past it the cell completes anyway and the caller's assertions
+#: report the shortfall.
 TWO_AGENT_TIMEOUT_S = 60.0
 
 
@@ -57,7 +59,13 @@ def crash_once(item: tuple[str | None, int]) -> int:
 
 
 class Costed:
-    """Item with a declared cost estimate, for dispatch-order tests."""
+    """Item with a declared cost estimate, for dispatch-order tests.
+
+    ``hold_for`` > 0 makes the item wait (at most
+    :data:`TWO_AGENT_TIMEOUT_S`) until that many ``.done`` sentinels are
+    in ``out_dir``, i.e. until other agents have finished that many
+    items, before anything else it does.
+    """
 
     def __init__(
         self,
@@ -66,22 +74,37 @@ class Costed:
         delay: float = 0.0,
         out_dir: str | None = None,
         poison: int | None = None,
+        hold_for: int = 0,
     ) -> None:
         self.value = value
         self.cost = cost
         self.delay = delay
         self.out_dir = out_dir
         self.poison = poison
+        self.hold_for = hold_for
 
     def cost_estimate(self) -> float:
         return self.cost
 
 
+def _hold(item: Costed) -> None:
+    if not item.hold_for:
+        return
+    pattern = os.path.join(str(item.out_dir), "*.done")
+    deadline = time.monotonic() + TWO_AGENT_TIMEOUT_S
+    while (
+        len(glob.glob(pattern)) < item.hold_for
+        and time.monotonic() < deadline
+    ):
+        time.sleep(0.01)
+
+
 def eval_costed(item: Costed) -> int:
-    """Sleep ``delay``; raise for the poisoned value, else touch
-    ``<out_dir>/<value>.done`` (when configured) and return the value.
-    The sentinel files let fail-fast tests count how much of the queue
-    actually evaluated after the first error."""
+    """Hold, then sleep ``delay``; raise for the poisoned value, else
+    touch ``<out_dir>/<value>.done`` (when configured) and return the
+    value. The sentinel files let fail-fast tests count how much of the
+    queue actually evaluated after the first error."""
+    _hold(item)
     time.sleep(item.delay)
     if item.poison is not None and item.value == item.poison:
         raise ValueError(f"poisoned item {item.value}")
@@ -89,4 +112,19 @@ def eval_costed(item: Costed) -> int:
         path = os.path.join(item.out_dir, f"{item.value}.done")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("ok")
+    return item.value
+
+
+def exit_once_costed(item: Costed) -> int:
+    """:func:`eval_costed`, except that the poisoned item, after its hold
+    and delay, kills its agent hard (``os._exit``, no cleanup) the first
+    time it runs; its re-dispatch returns the value."""
+    if item.value != item.poison:
+        return eval_costed(item)
+    _hold(item)
+    time.sleep(item.delay)
+    marker = os.path.join(str(item.out_dir), "exited.marker")
+    if not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(17)
     return item.value

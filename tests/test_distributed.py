@@ -1,10 +1,11 @@
 """Distributed sweep fabric: wire framing, host parsing, the coordinator
-backend (in-thread and real subprocess workers), worker-side cache modes,
-loss re-dispatch, 4-way bit-identity, and resume-after-kill."""
+backend (in-thread and real subprocess workers), its one cost-ordered
+queue, the runner as the only cell-cache writer, hostile peers, loss
+re-dispatch, 3-way bit-identity, and resume-after-kill."""
 
 from __future__ import annotations
 
-import json
+import collections
 import os
 import pickle
 import queue as queue_mod
@@ -30,16 +31,19 @@ from repro.scenarios import (
     parse_hosts,
     scenario_digest,
 )
+from repro.scenarios import distributed
+from repro.scenarios.backends import dispatch_order
 from repro.scenarios.cache import CellCache
 from repro.scenarios.matrix import parse_fault
-from repro.scenarios.runner import evaluate_cell
 from repro.scenarios.wire import (
     AUTH_ENV,
     MAX_FRAME_BYTES,
     WIRE_VERSION,
     auth_digest,
     connect_with_retry,
+    recv_json,
     recv_msg,
+    send_json,
     send_msg,
 )
 from repro.scenarios.worker import serve
@@ -191,14 +195,17 @@ class TestBackendUnit:
         assert "coord.example:9999" in rack_argv
         assert "--label" in rack_argv and "rack-7" in rack_argv
 
-    def test_bad_cache_mode_rejected(self):
-        with pytest.raises(ExperimentError, match="cache mode"):
-            DistributedBackend(hosts="local", cache_mode="nfs")
-
-    def test_cache_mode_without_dir_rejected_at_run(self):
-        backend = DistributedBackend(hosts="local", cache_mode="protocol")
-        with pytest.raises(ExperimentError, match="needs a cache dir"):
-            backend.run([1], helpers.double)
+    def test_dispatch_order_is_costliest_first_ties_by_position(self):
+        # Items without an estimate weigh 1.
+        items = [
+            helpers.Costed(0, cost=0.5),
+            "no estimate",
+            helpers.Costed(2, cost=3.0),
+            7,
+            helpers.Costed(4, cost=1.0),
+        ]
+        assert dispatch_order(items) == [2, 1, 3, 4, 0]
+        assert dispatch_order([]) == []
 
     def test_empty_run_is_a_no_op(self):
         backend = DistributedBackend(hosts="local:2")
@@ -207,7 +214,7 @@ class TestBackendUnit:
 
 
 # ---------------------------------------------------------------------------
-# in-thread workers (fast paths: ordering, stealing, errors, cache modes)
+# in-thread workers (fast paths: ordering, the one queue, errors)
 
 
 def _run_inthread(
@@ -241,7 +248,6 @@ def _run_inthread(
         launch=False,
         bind="127.0.0.1",
         connect_timeout=10.0,
-        idle_delay=0.01,
         on_listen=on_listen,
         **(backend_kwargs or {}),
     )
@@ -275,25 +281,56 @@ class TestInThreadWorkers:
         assert sorted(seen) == [(i, 10 + i) for i in range(6)]
         assert out == [10 + i for i in range(6)]
 
-    def test_drained_host_steals_from_most_loaded_victim(self):
-        # LPT assignment gives alpha [0, 3, 5] and beta [1, 2, 4]; item 0
-        # then pins alpha's only worker for ~0.4 s while beta drains its
-        # queue in ~0.03 s — beta must steal alpha's queued remainder.
+    def test_one_queue_hands_out_cells_in_dispatch_order(
+        self, tmp_path, monkeypatch
+    ):
+        # Item 0, the costliest, holds whichever agent draws it until the
+        # other five are done: the other agent must complete all five
+        # from the same queue, and every next takes the queue's head.
+        handed: list[int] = []
+        take = distributed._RunState.take
+
+        def recording_take(st):
+            pos = take(st)
+            if pos is not None:
+                handed.append(pos)
+            return pos
+
+        monkeypatch.setattr(distributed._RunState, "take", recording_take)
         costs = [10.0, 9.0, 1.0, 1.0, 1.0, 1.0]
         items = [
-            helpers.Costed(i, cost=c, delay=0.4 if i == 0 else 0.01)
+            helpers.Costed(
+                i, cost=c, delay=0.01, out_dir=str(tmp_path),
+                hold_for=5 if i == 0 else 0,
+            )
             for i, c in enumerate(costs)
         ]
         backend, out = _run_inthread(items, helpers.eval_costed)
         assert out == list(range(6))
-        stats = backend.stats()
-        assert stats["hosts"]["beta"]["steals"] >= 1
-        assert sum(h["completed"] for h in stats["hosts"].values()) == 6
+        assert handed == dispatch_order(items)
+        hosts = backend.stats()["hosts"].values()
+        assert sorted(h["completed"] for h in hosts) == [1, 5]
+
+    def test_pool_and_coordinator_hand_out_cells_in_one_order(self):
+        # One worker each, so completion order is hand-out order.
+        costs = [1.0, 5.0, 5.0, 2.0, 9.0, 1.0, 5.0]
+        items = [helpers.Costed(i, cost=c) for i, c in enumerate(costs)]
+        pool_seen: list[int] = []
+        PoolBackend(max_workers=1).run(
+            items, helpers.eval_costed,
+            on_complete=lambda pos, _: pool_seen.append(pos),
+        )
+        fabric_seen: list[int] = []
+        _run_inthread(
+            items, helpers.eval_costed, hosts="alpha",
+            on_complete=lambda pos, _: fabric_seen.append(pos),
+        )
+        assert pool_seen == fabric_seen == [4, 1, 2, 6, 3, 0, 5]
 
     def test_externally_joined_unknown_label_is_adopted(self):
         # One declared host, but a second worker joins under a label the
-        # coordinator never planned for: it gets adopted and lives off
-        # stealing from the declared host's queue.
+        # coordinator never planned for: it gets adopted and pulls from
+        # the same queue.
         items = [helpers.Costed(i, delay=0.02) for i in range(6)]
         backend, out = _run_inthread(
             items, helpers.eval_costed,
@@ -301,7 +338,6 @@ class TestInThreadWorkers:
         )
         assert out == list(range(6))
         stats = backend.stats()
-        assert stats["hosts"]["gamma"]["steals"] >= 1
         assert stats["hosts"]["gamma"]["completed"] >= 1
 
     def test_worker_error_fails_fast_and_stops_dispatch(self, tmp_path):
@@ -322,18 +358,6 @@ class TestInThreadWorkers:
         touched = len(list(tmp_path.glob("*.done")))
         assert touched < 9
 
-    def test_non_scenario_items_bypass_the_cell_cache(self, tmp_path):
-        # cache_dir set, but plain items: workers must not try to digest
-        # them, and no cells/ directory appears.
-        items = [helpers.Costed(i) for i in range(4)]
-        backend, out = _run_inthread(
-            items, helpers.eval_costed,
-            backend_kwargs={"cache_dir": str(tmp_path)},
-        )
-        assert out == list(range(4))
-        assert not (tmp_path / "cells").exists()
-        assert backend.stats()["cache_mode"] == "shared"
-
 
 def _mini_matrix(**overrides):
     kwargs = dict(
@@ -350,54 +374,13 @@ def _mini_matrix(**overrides):
     return ScenarioMatrix(**kwargs)
 
 
-class TestWorkerCacheModes:
-    """Workers short-circuit cells another sweep already stored — through
-    the shared directory or the GET/PUT protocol — and write through
-    before reporting, so no host re-runs a stored cell."""
-
-    def test_shared_mode_short_circuits_and_writes_through(self, tmp_path):
-        cells = _mini_matrix().expand()
-        expected = [evaluate_cell(cell) for cell in cells]
-        CellCache(tmp_path).store(cells[0], expected[0].result)
-        backend, out = _run_inthread(
-            cells, evaluate_cell,
-            backend_kwargs={"cache_dir": str(tmp_path)},
-        )
-        assert out[0].result == expected[0].result
-        assert out[0].wall_seconds == 0.0  # fabricated from the cache hit
-        assert out[1].result == expected[1].result
-        stats = backend.stats()
-        assert stats["cache_mode"] == "shared"
-        assert sum(h["cache_hits"] for h in stats["hosts"].values()) == 1
-        # Write-through: the evaluated cell landed in the shared dir too.
-        assert len(list((tmp_path / "cells").iterdir())) == 2
-
-    def test_protocol_mode_gets_and_puts_over_the_socket(self, tmp_path):
-        cells = _mini_matrix().expand()
-        expected = [evaluate_cell(cell) for cell in cells]
-        CellCache(tmp_path).store(cells[0], expected[0].result)
-        backend, out = _run_inthread(
-            cells, evaluate_cell,
-            backend_kwargs={
-                "cache_dir": str(tmp_path), "cache_mode": "protocol",
-            },
-        )
-        assert out[0].result == expected[0].result
-        assert out[0].wall_seconds == 0.0
-        assert out[1].result == expected[1].result
-        stats = backend.stats()
-        assert stats["cache_mode"] == "protocol"
-        assert stats["protocol_cache"] == {"gets": 2, "hits": 1, "puts": 1}
-        assert len(list((tmp_path / "cells").iterdir())) == 2
-
-
 # ---------------------------------------------------------------------------
 # handshake authentication
 
 
 class TestWireAuth:
     """Token-protected fabrics HMAC-challenge every hello; peers that
-    cannot answer are rejected before the pickled setup payload ships."""
+    cannot answer are rejected before any pickle crosses the wire."""
 
     def _run_auth(self, coord_token, worker_token, items=(-1, -2, -3)):
         worker_errors: list[Exception] = []
@@ -421,7 +404,6 @@ class TestWireAuth:
             launch=False,
             bind="127.0.0.1",
             connect_timeout=1.5,
-            idle_delay=0.01,
             on_listen=on_listen,
             auth_token=coord_token,
         )
@@ -458,7 +440,7 @@ class TestWireAuth:
 
         def fake_coordinator(reply_fn):
             conn, _ = listener.accept()
-            hello = recv_msg(conn)
+            hello = recv_json(conn)
             assert hello[0] == "hello"
             reply_fn(conn)
             conn.close()
@@ -466,7 +448,7 @@ class TestWireAuth:
         # Missing token: the worker refuses the challenge locally.
         thread = threading.Thread(
             target=fake_coordinator,
-            args=(lambda c: send_msg(c, ("challenge", "abcd")),),
+            args=(lambda c: send_json(c, ["challenge", "abcd"]),),
             daemon=True,
         )
         thread.start()
@@ -480,11 +462,11 @@ class TestWireAuth:
 
         # Wrong token: the coordinator's reject reason reaches the worker.
         def challenge_then_reject(conn):
-            send_msg(conn, ("challenge", "abcd"))
-            answer = recv_msg(conn)
+            send_json(conn, ["challenge", "abcd"])
+            answer = recv_json(conn)
             assert answer[0] == "auth"
             assert answer[1] != auth_digest("right", "abcd")
-            send_msg(conn, ("reject", "authentication failed: bad token"))
+            send_json(conn, ["reject", "authentication failed: bad token"])
 
         thread = threading.Thread(
             target=fake_coordinator, args=(challenge_then_reject,),
@@ -519,6 +501,127 @@ class TestWireAuth:
         without = DistributedBackend(hosts="local", launch=False)
         without.auth_token = None
         assert "--auth-token" not in without.launch_argv(spec, 1234)
+
+
+# ---------------------------------------------------------------------------
+# peers that are not workers
+
+
+class _CreatesFile:
+    """Unpickling this creates ``path``: a stand-in for code a peer could
+    run on any process that unpickles its bytes."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+def _send_raw_frame(sock, payload: bytes) -> None:
+    sock.sendall(struct.pack(">I", len(payload)) + payload)
+
+
+def _non_ascii_auth(sock, marker) -> None:
+    """Answer the challenge with text ``hmac.compare_digest`` refuses to
+    compare (it raises on non-ASCII str)."""
+    send_json(sock, ["hello", WIRE_VERSION, "intruder", 0])
+    sock.settimeout(5.0)
+    assert recv_json(sock)[0] == "challenge"
+    send_json(sock, ["auth", "\u00e9" * 64])
+
+
+#: What peers that are not workers send first, and whether the peer can
+#: expect the coordinator's reject. A raw HTTP request leaves unread
+#: bytes on the coordinator's side, so its close may reset the socket
+#: before the reject is read.
+HOSTILE_PEERS = {
+    "pickled-hello": (
+        lambda sock, marker: send_msg(sock, _CreatesFile(marker)), True
+    ),
+    "framed-http": (
+        lambda sock, marker: _send_raw_frame(sock, b"GET / HTTP/1.0\r\n\r\n"),
+        True,
+    ),
+    "raw-http": (
+        lambda sock, marker: sock.sendall(b"GET / HTTP/1.0\r\n\r\n"), False
+    ),
+    "stale-version": (
+        lambda sock, marker: send_json(sock, ["hello", 1, "old", 0]), True
+    ),
+    "deep-json": (
+        lambda sock, marker: _send_raw_frame(sock, b"[" * 60000), True
+    ),
+    "silent": (lambda sock, marker: None, False),
+    "non-ascii-auth": (_non_ascii_auth, True),
+}
+
+#: Every peer on a token-protected and an open fabric, except that only
+#: a token-protected one sends the challenge ``non-ascii-auth`` answers.
+PEER_CASES = [
+    (peer, token)
+    for peer in sorted(HOSTILE_PEERS)
+    for token in ("s3cret", None)
+    if (peer, token) != ("non-ascii-auth", None)
+]
+
+
+class TestHostilePeers:
+    """A peer whose handshake is garbage, pickled, stale or missing costs
+    only its own connection, and nothing it sends is unpickled."""
+
+    @pytest.mark.parametrize("peer,token", PEER_CASES)
+    def test_sweep_survives_the_peer(self, peer, token, tmp_path, monkeypatch):
+        monkeypatch.delenv(AUTH_ENV, raising=False)
+        send_first, expects_reject = HOSTILE_PEERS[peer]
+        marker = str(tmp_path / "unpickled.marker")
+        probe = socket.socket()
+        threads: list[threading.Thread] = []
+        done_at: list[float] = []
+
+        def on_listen(host, port):
+            # The peer connects and speaks before any worker exists, so
+            # its connection is handled while the run is live.
+            probe.connect((host, port))
+            send_first(probe, marker)
+            if expects_reject:
+                probe.settimeout(5.0)
+                assert recv_json(probe)[0] == "reject"
+            thread = threading.Thread(
+                target=serve,
+                args=((host, port), "local"),
+                kwargs={"connect_timeout": 5.0, "auth_token": token},
+                daemon=True,
+            )
+            thread.start()
+            threads.append(thread)
+
+        backend = DistributedBackend(
+            hosts="local",
+            launch=False,
+            bind="127.0.0.1",
+            connect_timeout=10.0,
+            on_listen=on_listen,
+            auth_token=token,
+        )
+        try:
+            out = backend.run(
+                [-1, -2, -3, -4],
+                abs,
+                on_complete=lambda pos, _: done_at.append(time.monotonic()),
+            )
+            ended = time.monotonic()
+        finally:
+            probe.close()
+            for thread in threads:
+                thread.join(timeout=10.0)
+        assert out == [1, 2, 3, 4]
+        assert not os.path.exists(marker)
+        # A peer still in its handshake does not hold up teardown.
+        assert ended - done_at[-1] < 1.0
+        stats = backend.stats()
+        assert set(stats["hosts"]) == {"local"}
+        assert stats["hosts"]["local"]["lost"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +678,44 @@ class TestSubprocessWorkers:
         with pytest.raises(ExperimentError, match="lost its worker"):
             backend.run([(marker, 1), (None, 2)], helpers.crash_once)
 
+    def test_waiting_worker_gets_a_lost_workers_cell(
+        self, worker_env, tmp_path
+    ):
+        # The costliest cell goes out first; it holds its agent until the
+        # other agent has drained the five cheap cells (whose next then
+        # waits on the empty queue), and 0.2 s later kills its agent. The
+        # waiting agent must be handed the requeued cell.
+        items = [
+            helpers.Costed(
+                i,
+                cost=10.0 if i == 0 else 1.0,
+                delay=0.2 if i == 0 else 0.0,
+                out_dir=str(tmp_path),
+                poison=0,
+                hold_for=5 if i == 0 else 0,
+            )
+            for i in range(6)
+        ]
+        backend = DistributedBackend(hosts="local:2", connect_timeout=60.0)
+        result: dict = {}
+
+        def run():
+            start = time.monotonic()
+            result["out"] = backend.run(items, helpers.exit_once_costed)
+            result["wall"] = time.monotonic() - start
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=120.0)
+        assert not thread.is_alive(), "the requeued cell was never handed out"
+        assert result["out"] == list(range(6))
+        assert os.path.exists(tmp_path / "exited.marker")
+        assert result["wall"] < 60.0
+        stats = backend.stats()
+        assert stats["redispatched"] == 1
+        assert stats["hosts"]["local"]["lost"] == 1
+        assert stats["hosts"]["local"]["completed"] == 6
+
 
 # ---------------------------------------------------------------------------
 # sweep-level integration
@@ -591,6 +732,73 @@ class TestSweepIntegration:
         assert report.max_workers == 2
         assert report.backend_stats["hosts"]["local"]["completed"] == 2
         assert "host local: 2 worker(s), 2 cell(s)" in report.render()
+
+    def test_runner_is_the_only_cell_cache_reader_and_writer(
+        self, tmp_path, monkeypatch
+    ):
+        # CI's 6-cell distributed matrix on in-thread workers: every cell
+        # is looked up once before dispatch and stored once on completion,
+        # and a rerun replays all six.
+        calls: collections.Counter[str] = collections.Counter()
+        lookup, store = CellCache.lookup, CellCache.store
+
+        def counted_lookup(cache, scenario):
+            calls["lookup"] += 1
+            return lookup(cache, scenario)
+
+        def counted_store(cache, scenario, result):
+            calls["store"] += 1
+            return store(cache, scenario, result)
+
+        monkeypatch.setattr(CellCache, "lookup", counted_lookup)
+        monkeypatch.setattr(CellCache, "store", counted_store)
+        matrix = ScenarioMatrix(
+            workflows=("IA",),
+            arrivals=(
+                ArrivalSpec("constant"),
+                ArrivalSpec("poisson", rate_per_s=6.0),
+                ArrivalSpec("poisson", rate_per_s=12.0),
+            ),
+            slo_scales=(1.0, 1.25),
+            tenant_counts=(1,),
+            policies=("Janus",),
+            n_requests=20,
+            samples=300,
+        )
+
+        def sweep():
+            threads: list[threading.Thread] = []
+
+            def on_listen(host, port):
+                for label in ("alpha", "beta"):
+                    thread = threading.Thread(
+                        target=serve, args=((host, port), label), daemon=True
+                    )
+                    thread.start()
+                    threads.append(thread)
+
+            try:
+                return SweepRunner(
+                    backend="distributed",
+                    cache_dir=tmp_path,
+                    backend_options={
+                        "hosts": "alpha,beta",
+                        "launch": False,
+                        "bind": "127.0.0.1",
+                        "connect_timeout": 10.0,
+                        "on_listen": on_listen,
+                    },
+                ).run(matrix)
+            finally:
+                for thread in threads:
+                    thread.join(timeout=10.0)
+
+        cold = sweep()
+        assert calls == {"lookup": 6, "store": 6}
+        assert cold.cell_cache == {"hits": 0, "misses": 6}
+        warm = sweep()
+        assert warm.cell_cache == {"hits": 6, "misses": 0}
+        assert warm.to_json() == cold.to_json()
 
     def test_backend_options_are_ignored_by_non_distributed_backends(self):
         # Signature filtering: a serial run with distributed options must
@@ -697,8 +905,9 @@ class TestResumeAfterKill:
         )
         assert rc == 0
 
-        # Cold distributed run, SIGKILLed after the first evaluated cell
-        # lands (workers store before reporting, so it is already cached).
+        # Cold distributed run, SIGKILLed after the first evaluated cell's
+        # progress line (the coordinator stores each cell before it
+        # prints that cell's line, so the cell is already cached).
         proc = self._spawn_distributed(cache_dir)
         lines: queue_mod.Queue = queue_mod.Queue()
 
@@ -724,21 +933,11 @@ class TestResumeAfterKill:
         proc.kill()
         proc.wait(timeout=30.0)
         assert saw_completion, "sweep never reported an evaluated cell"
-        # Killing the coordinator orphans the worker agents; each finishes
-        # its in-flight cell, stores it (that's the resume guarantee), and
-        # exits on the dead socket. Wait for the cache to quiesce so the
-        # stored count is the resume run's exact hit count.
-        stored = len(list((cache_dir / "cells").iterdir()))
-        stable_since = time.monotonic()
-        deadline = time.monotonic() + 60.0
-        while time.monotonic() < deadline:
-            now = len(list((cache_dir / "cells").iterdir()))
-            if now != stored:
-                stored = now
-                stable_since = time.monotonic()
-            elif time.monotonic() - stable_since > 2.0:
-                break
-            time.sleep(0.2)
+        # Only the coordinator writes cells/, and it has been reaped, so
+        # this is the resume run's exact hit count. Cells its orphaned
+        # agents had in flight are evaluated again on resume. A kill in
+        # the middle of a store can leave a .tmp-* file, which is no cell.
+        stored = len(list((cache_dir / "cells").glob("*.json")))
         assert stored >= 1
 
         # Resume: only the uncached remainder evaluates; the report is
@@ -783,19 +982,17 @@ class TestCLI:
         assert "distributed backend" in out
         assert "host local: 2 worker(s)" in out
 
-    def test_hosts_flag_requires_distributed_backend(self):
-        with pytest.raises(SystemExit, match="--hosts"):
-            main(
-                ["sweep", "--workflows", "IA", "--arrivals", "constant",
-                 "--hosts", "local:2"]
-            )
+    def test_hosts_flag_requires_distributed_backend(self, cli_error):
+        assert cli_error(
+            ["sweep", "--workflows", "IA", "--arrivals", "constant",
+             "--hosts", "local:2"]
+        ) == "--hosts requires --backend distributed"
 
-    def test_cache_mode_flag_requires_distributed_backend(self):
-        with pytest.raises(SystemExit, match="--cache-mode"):
-            main(
-                ["sweep", "--workflows", "IA", "--arrivals", "constant",
-                 "--backend", "pool", "--cache-mode", "shared"]
-            )
+    def test_auth_token_flag_requires_distributed_backend(self, cli_error):
+        assert cli_error(
+            ["sweep", "--workflows", "IA", "--backend", "pool",
+             "--auth-token", "s3cret"]
+        ) == "--auth-token requires --backend distributed"
 
 
 # ---------------------------------------------------------------------------
