@@ -83,15 +83,18 @@ class InvocationDynamics:
 
 def check_dynamics(worksets: np.ndarray, interferences: np.ndarray) -> None:
     """:class:`InvocationDynamics`' checks, predicates and messages over
-    columns: the first invocation a row would reject raises."""
-    bad = ~((worksets > 0.0) & (worksets < math.inf))
+    columns, one invocation per element (``(requests,)`` or ``(requests,
+    stages)``): the first invocation in row-major order that a row would
+    reject raises, its workset checked before its interference."""
+    bad_workset = ~((worksets > 0.0) & (worksets < math.inf))
+    bad = bad_workset | (interferences < 1.0)
     if bad.any():
-        first = float(worksets[bad][0])
-        raise FunctionModelError(f"workset must be finite and > 0: {first}")
-    bad = interferences < 1.0
-    if bad.any():
-        first = float(interferences[bad][0])
-        raise FunctionModelError(f"interference must be >= 1: {first}")
+        first = int(np.argmax(bad))
+        if bad_workset.flat[first]:
+            value = float(worksets.flat[first])
+            raise FunctionModelError(f"workset must be finite and > 0: {value}")
+        value = float(interferences.flat[first])
+        raise FunctionModelError(f"interference must be >= 1: {value}")
 
 
 @dataclass(frozen=True)

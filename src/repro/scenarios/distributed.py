@@ -499,11 +499,6 @@ class DistributedBackend:
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((bind, 0))
         listener.listen(128)
-        # Closing a listening socket does not wake a thread already blocked
-        # in accept() on Linux, so poll instead: the loop notices st.stop
-        # (or the closed fd) within one timeout instead of stalling the
-        # teardown join.
-        listener.settimeout(0.1)
         port = listener.getsockname()[1]
 
         conns: list[socket.socket] = []
@@ -512,12 +507,8 @@ class DistributedBackend:
             while True:
                 try:
                     conn, _addr = listener.accept()
-                except TimeoutError:
-                    if st.stop:
-                        return
-                    continue
                 except OSError:
-                    return  # listener closed: run is over
+                    return  # listener shut down: run is over
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 with st.lock:
                     conns.append(conn)
@@ -561,9 +552,12 @@ class DistributedBackend:
                 st.halt()
                 handlers = list(st.handlers)
             try:
-                listener.close()
+                # shutdown wakes the accept thread at once; close alone
+                # leaves it blocked in accept().
+                listener.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+            listener.close()
             # Let accepted workers drain to their orderly ("done",); a peer
             # still in its handshake is not waited for ...
             for thread in handlers:

@@ -155,7 +155,10 @@ def iter_scenario_requests(
     merge because each tenant stream is already arrival-ordered.
     """
     config, seeds = _tenant_plan(scenario, slo_ms)
-    streams = [iter_requests(workflow, config, seed=s) for s in seeds]
+    streams = [
+        itertools.chain.from_iterable(iter_requests(workflow, config, seed=s))
+        for s in seeds
+    ]
     if scenario.tenants == 1:
         yield from streams[0]
         return

@@ -56,6 +56,7 @@ from ..workflow.request import (
     RequestOutcome,
     StageRecord,
     WorkflowRequest,
+    dynamics_rows,
 )
 from .events import EventLog
 
@@ -283,15 +284,16 @@ class ServingLoop:
         # ``(workset_scale, stage dynamics)`` per request: the draw of
         # :func:`repro.traces.workload.iter_requests` on the loop's own
         # streams, DEFAULT_STREAM_CHUNK requests at a time, with the drift
-        # schedule as a column of workset scales. The stream is identical
-        # however the loop is paced or adapted.
+        # schedule as a column of workset scales; each row is built (and
+        # checks itself) when read. The stream is identical however the
+        # loop is paced or adapted.
         stages = dynamics_streams(self.workflow, factory)
         for lo in itertools.count(0, DEFAULT_STREAM_CHUNK):
             scales = np.ones(DEFAULT_STREAM_CHUNK)
             for after_n, scale in self.config.workset_schedule:
                 scales[max(0, after_n - lo) :] = scale
-            rows = draw_dynamics(stages, DEFAULT_STREAM_CHUNK, scales)
-            yield from zip(scales.tolist(), rows)
+            columns = draw_dynamics(stages, DEFAULT_STREAM_CHUNK, scales)
+            yield from zip(scales.tolist(), dynamics_rows(columns))
 
     # -- serving ------------------------------------------------------------
     async def _serve(

@@ -15,18 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import TraceError
-from ..functions.model import FunctionModel, InvocationDynamics
+from ..functions.model import FunctionModel, check_dynamics
 from ..knobs import (
     FINITE, FRACTION, NON_NEGATIVE, POSITIVE, UNIT, at_least, check, knob,
 )
 from ..rng import RngFactory
 from ..types import Milliseconds
 from ..workflow.catalog import Workflow
-from ..workflow.request import (
-    DEFAULT_STREAM_CHUNK,
-    RequestBlock,
-    WorkflowRequest,
-)
+from ..workflow.request import DEFAULT_STREAM_CHUNK, Dynamics, RequestBlock
 from .arrivals import arrival_chunks, first_n
 from .diurnal import STORM_MULTIPLIER, DiurnalRate, FlashCrowdRate, RateCurve
 
@@ -264,19 +260,21 @@ def iter_requests(
     workflow: Workflow,
     config: WorkloadConfig | None = None,
     seed: int = 0,
-) -> _t.Iterator[WorkflowRequest]:
-    """Yield the deterministic request stream one request at a time.
+) -> _t.Iterator[RequestBlock]:
+    """Yield the deterministic request stream as column blocks of
+    :data:`DEFAULT_STREAM_CHUNK` requests (the last one shorter).
 
-    Dynamics are drawn :data:`DEFAULT_STREAM_CHUNK` requests at a time
-    (:func:`draw_dynamics`), with the bits of one scalar draw per request
-    per stage; arrivals in one batch (O(n) floats, the cheap part).
-    Streaming consumers never hold the full stream.
+    Each block's dynamics come from one :func:`draw_dynamics` call, with
+    the bits of one scalar draw per request per stage, and are checked as
+    rows would check them; arrivals are drawn in one batch (O(n) floats,
+    the cheap part). A block builds its rows only if they are read, and
+    streaming consumers never hold the full stream.
     """
     cfg = config or WorkloadConfig()
     factory = RngFactory(seed).fork("workload", workflow.name)
     arrivals = cfg.arrival_spec().timestamps(
         cfg.n_requests, factory.stream("arrivals"), workflow=workflow.name
-    ).tolist()
+    )
     slo = float(cfg.slo_ms if cfg.slo_ms is not None else workflow.slo_ms)
     concurrency = int(
         cfg.concurrency if cfg.concurrency is not None else workflow.max_concurrency
@@ -287,14 +285,19 @@ def iter_requests(
         interference = (cfg.interference, factory.stream("interference"))
     for lo in range(0, cfg.n_requests, DEFAULT_STREAM_CHUNK):
         m = min(DEFAULT_STREAM_CHUNK, cfg.n_requests - lo)
-        yield from map(
-            WorkflowRequest,
-            range(lo, lo + m),
+        dynamics = draw_dynamics(stages, m, cfg.workset_scale, interference)
+        worksets, _, interferences = map(np.column_stack, zip(*dynamics.values()))
+        check_dynamics(worksets, interferences)
+        # ``fill``, not ``np.full``: every row shares the one name object.
+        workflows = np.empty(m, dtype=object)
+        workflows.fill(workflow.name)
+        yield RequestBlock(
+            np.arange(lo, lo + m),
             arrivals[lo : lo + m],
-            itertools.repeat(slo),
-            draw_dynamics(stages, m, cfg.workset_scale, interference),
-            itertools.repeat(concurrency),
-            itertools.repeat(workflow.name),
+            np.full(m, slo),
+            np.full(m, concurrency),
+            workflows,
+            dynamics,
         )
 
 
@@ -316,27 +319,26 @@ def draw_dynamics(
     m: int,
     workset_scale: "float | np.ndarray" = 1.0,
     interference: tuple[InterferenceDraw, np.random.Generator] | None = None,
-) -> _t.Iterator[dict[str, InvocationDynamics]]:
-    """The stage dynamics of the next ``m`` requests, one dict each, built
-    as read: one ``sample_dynamics(rng, size=m)`` call per stage (the bits
-    of ``m`` scalar calls), working sets times ``workset_scale`` (a factor
-    or one per request; ``x * 1.0`` is exact), and interference from the
-    ``(draw, rng)`` pair per request per stage, else 1.0."""
-    names = [name for name, _, _ in stages]
-    per_stage_q: _t.Any = itertools.repeat(itertools.repeat(1.0))
+) -> dict[str, Dynamics]:
+    """Each stage's (worksets, noise_zs, interferences) columns for the
+    next ``m`` requests: one ``sample_dynamics(rng, size=m)`` call per
+    stage (the bits of ``m`` scalar calls), working sets times
+    ``workset_scale`` (a factor or one per request; ``x * 1.0`` is exact),
+    and interference from the ``(draw, rng)`` pair per request per stage
+    in row order, else 1.0. Scaled worksets and drawn interference are
+    not checked here: a block checks its columns, a row itself."""
+    per_stage_q: _t.Iterable[np.ndarray | None] = itertools.repeat(None)
     if interference is not None:
         draw, rng = interference
         q = [float(draw(rng)) for _ in range(m * len(stages))]
-        per_stage_q = [q[j :: len(stages)] for j in range(len(stages))]
-    per_stage = []
-    for (_, model, rng), qs in zip(stages, per_stage_q):
-        worksets, noise_zs, _ = model.sample_dynamics(rng, size=m)
+        per_stage_q = np.array(q).reshape(m, len(stages)).T.copy()
+    columns = {}
+    for (name, model, rng), qs in zip(stages, per_stage_q):
+        worksets, noise_zs, ones = model.sample_dynamics(rng, size=m)
         if np.any(workset_scale != 1.0):
             worksets = worksets * workset_scale
-        per_stage.append(map(
-            InvocationDynamics, worksets.tolist(), noise_zs.tolist(), qs
-        ))
-    return (dict(zip(names, row)) for row in zip(*per_stage))
+        columns[name] = (worksets, noise_zs, ones if qs is None else qs)
+    return columns
 
 
 def generate_requests(
@@ -344,9 +346,10 @@ def generate_requests(
     config: WorkloadConfig | None = None,
     seed: int = 0,
 ) -> RequestBlock:
-    """Build a deterministic request stream for ``workflow``: the rows of
-    :func:`iter_requests` with their columns."""
-    return RequestBlock.of(iter_requests(workflow, config, seed))
+    """Build a deterministic request stream for ``workflow``: the blocks
+    of :func:`iter_requests` joined into one, as columns."""
+    chunks = list(iter_requests(workflow, config, seed))
+    return RequestBlock.merged(chunks, np.arange(sum(map(len, chunks))))
 
 
 def shifted_workload(

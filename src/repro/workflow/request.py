@@ -1,11 +1,11 @@
-"""Per-request execution state, request streams as columns plus rows
-(:class:`RequestBlock`), and outcome records."""
+"""Per-request execution state, request streams as columns with rows
+built when read (:class:`RequestBlock`), and outcome records."""
 
 from __future__ import annotations
 
 import operator
 import typing as _t
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,7 +15,7 @@ from ..types import Millicores, Milliseconds
 
 __all__ = [
     "StageRecord", "WorkflowRequest", "RequestBlock", "RequestOutcome",
-    "DEFAULT_STREAM_CHUNK",
+    "DEFAULT_STREAM_CHUNK", "dynamics_rows",
 ]
 
 #: Requests per chunk where a stream is drawn or served a chunk at a time:
@@ -86,17 +86,21 @@ class WorkflowRequest:
             )
 
 
-#: A row's fields after ``request_id``, in declaration order.
-_ROW_VALUES = operator.attrgetter(*(f.name for f in fields(WorkflowRequest)[1:]))
+#: One node's (worksets, noise_zs, interferences) columns.
+Dynamics = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 _DYNAMICS = [operator.attrgetter(a) for a in ("workset", "noise_z", "interference")]
 
-#: (block column, row attribute, dtype) of the per-request columns.
+#: (block column, row attribute, dtype) of the per-request columns, in
+#: :class:`WorkflowRequest`'s field order. Workflow names are an object
+#: column, so a stream's rows share one name object (as rows built from
+#: one workflow do).
 _COLUMNS = (
     ("request_ids", "request_id", np.int64),
     ("arrivals", "arrival_ms", np.float64),
     ("slos", "slo_ms", np.float64),
     ("concurrencies", "concurrency", np.int64),
+    ("workflows", "workflow", object),
 )
 
 
@@ -105,68 +109,107 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-class RequestBlock(_t.Sequence[WorkflowRequest]):
-    """An immutable request stream: its columns next to its rows.
+def _picked(columns: list[np.ndarray], picks: np.ndarray) -> np.ndarray:
+    flat = columns[0] if len(columns) == 1 else np.concatenate(columns)
+    return flat[picks]
 
-    Batched consumers (the analytic executors, the tenant and fleet
-    merges) read the read-only columns ``request_ids``, ``arrivals``,
-    ``slos``, ``concurrencies`` and, per node, :meth:`dynamics`; policy
-    hooks, the DES cluster and serving read the (shared) rows. :meth:`of`
-    gathers a row sequence's columns once; :meth:`merged` and :meth:`take`
-    renumber rows of other blocks, built only when read. Slices, ``==``
-    and ``+`` work on the rows, as with lists.
+
+def dynamics_rows(
+    columns: _t.Mapping[str, Dynamics],
+) -> _t.Iterator[dict[str, InvocationDynamics]]:
+    """Each request's stage dynamics, node by node in ``columns``' order,
+    built (and checked) as read."""
+    per_node = [
+        map(InvocationDynamics, *(column.tolist() for column in node))
+        for node in columns.values()
+    ]
+    return (dict(zip(columns, row)) for row in zip(*per_node))
+
+
+class RequestBlock(_t.Sequence[WorkflowRequest]):
+    """An immutable request stream: columns first, rows when read.
+
+    Batched consumers (the analytic executors, the oracle's duration
+    table, the tenant and fleet merges) read the read-only columns
+    ``request_ids``, ``arrivals``, ``slos``, ``concurrencies``,
+    ``workflows`` and, per node, :meth:`dynamics`; policy hooks, the DES
+    cluster and serving read rows. A block built from columns (a drawn
+    chunk, :meth:`merged`, :meth:`take`) builds its rows once, the first
+    time one is indexed or iterated; :meth:`of` gathers a row sequence's
+    columns once and keeps its rows. Slices, ``==`` and ``+`` work on the
+    rows, as with lists.
     """
 
     def __init__(
         self,
-        rows: _t.Iterable[WorkflowRequest] | None,
-        parts: tuple["RequestBlock", ...] = (),
-        picks: np.ndarray | None = None,
+        request_ids: np.ndarray,
+        arrivals: np.ndarray,
+        slos: np.ndarray,
+        concurrencies: np.ndarray,
+        workflows: np.ndarray,
+        dynamics: _t.Mapping[str, Dynamics],
     ) -> None:
-        # Rows, or positions ``picks`` into the concatenated ``parts``.
-        self._rows = None if rows is None else list(rows)
-        self._parts, self._picks = parts, picks
-        self._dynamics: dict[str, tuple[np.ndarray, ...]] = {}
-        for name, attr, dtype in _COLUMNS:
-            if self._rows is not None:
-                values = map(operator.attrgetter(attr), self._rows)
-                column = np.fromiter(values, dtype, len(self._rows))
-            elif name == "request_ids":
-                column = np.arange(picks.size, dtype=dtype)
-            else:
-                column = self._pick([getattr(p, name) for p in parts])
-            setattr(self, name, _frozen(column))
+        """A block of columns; ``dynamics`` maps each node, in stage
+        order, to its (worksets, noise_zs, interferences)."""
+        values = (request_ids, arrivals, slos, concurrencies, workflows)
+        for (name, _, dtype), column in zip(_COLUMNS, values):
+            setattr(self, name, _frozen(np.asarray(column, dtype)))
+        self._dynamics = {
+            node: tuple(map(_frozen, columns))
+            for node, columns in dynamics.items()
+        }
+        #: The nodes every row carries dynamics for, in stage order.
+        self.nodes = tuple(self._dynamics)
+        self._rows: list[WorkflowRequest] | None = None
+        # Positions ``_picks`` into the concatenated ``_parts``: where a
+        # merged block gathers a node's dynamics when first read.
+        self._parts: tuple[RequestBlock, ...] = ()
+        self._picks: np.ndarray | None = None
 
     @classmethod
     def of(cls, requests: _t.Iterable[WorkflowRequest]) -> "RequestBlock":
         """A block as-is; any other rows kept, their columns gathered once."""
-        return requests if isinstance(requests, RequestBlock) else cls(requests)
+        if isinstance(requests, RequestBlock):
+            return requests
+        rows = list(requests)
+        block = cls(*(
+            np.fromiter(map(operator.attrgetter(attr), rows), dtype, len(rows))
+            for _, attr, dtype in _COLUMNS
+        ), {})
+        block.nodes = tuple(rows[0].stage_dynamics) if rows else ()
+        block._rows = rows
+        return block
 
     @classmethod
     def merged(
         cls, blocks: _t.Sequence["RequestBlock"], order: _t.Sequence[int]
     ) -> "RequestBlock":
-        """Rows of the concatenated ``blocks`` at positions ``order``,
+        """Requests of the concatenated ``blocks`` at positions ``order``,
         renumbered ``0..len(order)-1``."""
-        return cls(None, tuple(blocks), np.asarray(order, np.int64))
+        picks = np.asarray(order, np.int64)
+        block = cls(np.arange(picks.size), *(
+            _picked([getattr(b, name) for b in blocks], picks)
+            for name, _, _ in _COLUMNS[1:]
+        ), {})
+        block.nodes = blocks[0].nodes if blocks else ()
+        block._parts, block._picks = tuple(blocks), picks
+        return block
 
     def take(self, indices: _t.Sequence[int]) -> "RequestBlock":
-        """The rows at ``indices``, renumbered from 0."""
+        """The requests at ``indices``, renumbered from 0."""
         return RequestBlock.merged((self,), indices)
 
-    def _pick(self, columns: list[np.ndarray]) -> np.ndarray:
-        flat = columns[0] if len(columns) == 1 else np.concatenate(columns)
-        return flat[self._picks]
-
-    def dynamics(self, node: str) -> tuple[np.ndarray, ...]:
+    def dynamics(self, node: str) -> Dynamics:
         """``node``'s (worksets, noise_zs, interferences) columns; raises
         :class:`WorkflowError` naming a request without dynamics for it."""
         if node not in self._dynamics:
-            if self._rows is None:
+            if self._parts:
                 parts = zip(*(p.dynamics(node) for p in self._parts))
-                columns = [self._pick(list(c)) for c in parts]
+                columns = [_picked(list(c), self._picks) for c in parts]
             else:
-                dyns = [r.dynamics_for(node) for r in self._rows]
+                # Rows given to :meth:`of`; a drawn block has no such node,
+                # so its first row names itself in the error.
+                dyns = [r.dynamics_for(node) for r in self._row_list()]
                 n = len(dyns)
                 columns = [np.fromiter(map(g, dyns), np.float64, n) for g in _DYNAMICS]
             self._dynamics[node] = tuple(map(_frozen, columns))
@@ -174,10 +217,16 @@ class RequestBlock(_t.Sequence[WorkflowRequest]):
 
     def _row_list(self) -> list[WorkflowRequest]:
         if self._rows is None:
-            source = [row for part in self._parts for row in part]
-            picked = map(source.__getitem__, self._picks.tolist())
-            columns = zip(*map(_ROW_VALUES, picked))
-            self._rows = list(map(WorkflowRequest, range(len(self)), *columns))
+            stages = dynamics_rows({n: self.dynamics(n) for n in self.nodes})
+            self._rows = list(map(
+                WorkflowRequest,
+                self.request_ids.tolist(),
+                self.arrivals.tolist(),
+                self.slos.tolist(),
+                stages,
+                self.concurrencies.tolist(),
+                self.workflows.tolist(),
+            ))
         return self._rows
 
     def __len__(self) -> int:

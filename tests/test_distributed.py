@@ -327,6 +327,28 @@ class TestInThreadWorkers:
         )
         assert pool_seen == fabric_seen == [4, 1, 2, 6, 3, 0, 5]
 
+    def test_run_returns_promptly_after_the_last_result(self, monkeypatch):
+        # Teardown wakes the accept thread by shutting the listener down;
+        # a 0.1 s accept poll used to hold every run that long.
+        returned: list[float] = []
+        run = DistributedBackend.run
+
+        def timed(self, *args, **kwargs):
+            try:
+                return run(self, *args, **kwargs)
+            finally:
+                returned.append(time.perf_counter())
+
+        monkeypatch.setattr(DistributedBackend, "run", timed)
+        completed: list[float] = []
+        items = [helpers.Costed(i) for i in range(4)]
+        _, out = _run_inthread(
+            items, helpers.eval_costed,
+            on_complete=lambda pos, outcome: completed.append(time.perf_counter()),
+        )
+        assert out == list(range(4))
+        assert returned[0] - completed[-1] < 0.05
+
     def test_externally_joined_unknown_label_is_adopted(self):
         # One declared host, but a second worker joins under a label the
         # coordinator never planned for: it gets adopted and pulls from

@@ -4,12 +4,15 @@ The chunked generator must reproduce the per-request loop it replaced bit
 for bit (kept here as ``reference_requests``), each workset distribution's
 batched draw must equal ``n`` scalar ``sample_dynamics`` calls including
 the generator state, and the column-based tenant merge and fleet split
-must equal the sort-plus-``replace`` versions they replaced.
+must equal the sort-plus-``replace`` versions they replaced. The batch
+path builds no rows; a rejected draw raises what building the rows
+raised.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import pickle
 
 import numpy as np
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Session
 from repro.errors import FunctionModelError, WorkflowError
 from repro.fleet import fleet_requests
 from repro.functions.model import FunctionModel, InvocationDynamics, check_dynamics
@@ -28,9 +32,10 @@ from repro.functions.worksets import (
     WorksetDistribution,
 )
 from repro.policies.early_binding import WorstCasePolicy
+from repro.policies.oracle import OraclePolicy
 from repro.rng import RngFactory
 from repro.runtime.executor import AnalyticExecutor
-from repro.scenarios import ScenarioMatrix, SweepRunner, parse_fleet
+from repro.scenarios import ScenarioMatrix, SweepRunner, parse_arrival, parse_fleet
 from repro.scenarios.registry import scenario_workflow
 from repro.scenarios.runner import _arrival_merge, merge_tenant_streams
 from repro.traces.workload import (
@@ -153,7 +158,13 @@ class TestStreamMatchesReferenceLoop:
         config = WorkloadConfig(n_requests=n)
         want = reference_requests(workflow, config, seed=3)
         _same_bits(generate_requests(workflow, config, seed=3), want)
-        _same_bits(list(iter_requests(workflow, config, seed=3)), want)
+        blocks = list(iter_requests(workflow, config, seed=3))
+        assert len(blocks) == math.ceil(n / DEFAULT_STREAM_CHUNK)
+        assert [len(b) for b in blocks] == [
+            min(DEFAULT_STREAM_CHUNK, n - lo)
+            for lo in range(0, n, DEFAULT_STREAM_CHUNK)
+        ]
+        _same_bits([row for block in blocks for row in block], want)
 
     @pytest.mark.parametrize("name", sorted(WORKFLOWS))
     @pytest.mark.parametrize(
@@ -282,7 +293,9 @@ class TestRequestBlock:
             dataclasses.replace(block[i], request_id=j)
             for j, i in enumerate(picks)
         ]
-        assert sub[0].stage_dynamics is block[7].stage_dynamics
+        assert pickle.dumps(sub[0].stage_dynamics) == pickle.dumps(
+            block[7].stage_dynamics
+        )
         assert len(block.take([])) == 0
 
     def test_slices_are_row_lists_keeping_ids(self):
@@ -415,3 +428,185 @@ class TestChecks:
         with pytest.raises(FunctionModelError, match="workset must be finite and > 0"):
             check_dynamics(np.array([1.0, bad]), np.ones(2))
         check_dynamics(np.array([1.0, 2.0]), np.ones(2))
+
+
+@pytest.fixture
+def built_rows(monkeypatch):
+    """Every :class:`WorkflowRequest` constructed while the test runs."""
+    built: list[WorkflowRequest] = []
+    init = WorkflowRequest.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(WorkflowRequest, "__init__", counting)
+    return built
+
+
+class TestNoRowsOnTheBatchPath:
+    def test_streams_merges_and_takes_build_no_rows(self, built_rows):
+        config = WorkloadConfig(
+            n_requests=2100, arrival=ArrivalSpec(kind="azure", rate_per_s=8.0)
+        )
+        for name in ("IA", "VA", "media"):
+            workflow = WORKFLOWS[name]()
+            streams = [generate_requests(workflow, config, seed=s) for s in (1, 2)]
+            merged = merge_tenant_streams(streams)
+            region = merged.take(np.flatnonzero(merged.request_ids % 3 == 1))
+            for block in (*streams, merged, region):
+                for node in workflow.dag.nodes:
+                    block.dynamics(node)
+        assert built_rows == []
+
+    def test_sweep_cells_build_no_rows(self, built_rows):
+        # e2ebench's sweep-large cells, small: two tenants of IA, VA and
+        # media (a DAG) across a chunk edge, and a 3-region fleet cell.
+        tenants = ScenarioMatrix(
+            workflows=("IA", "VA", "media"),
+            arrivals=(parse_arrival("azure@8"),),
+            tenant_counts=(2,),
+            policies=("GrandSLAM", "ORION", "Janus"),
+            n_requests=2100,
+            samples=300,
+            seed=1,
+        )
+        fleet = ScenarioMatrix(
+            workflows=("IA",),
+            arrivals=(parse_arrival("poisson@8"),),
+            fleets=(parse_fleet("regions=3,routing=spillover,capacity=8"),),
+            policies=("GrandSLAM", "Janus"),
+            n_requests=200,
+            samples=300,
+            seed=1,
+        )
+        for matrix in (tenants, fleet):
+            report = SweepRunner(max_workers=1).run(matrix)
+            assert len(report.results) == len(matrix.expand())
+        assert built_rows == []
+
+    def test_row_consumers_get_the_reference_rows(self, monkeypatch):
+        workflow = intelligent_assistant()
+        config = WorkloadConfig(
+            n_requests=80, arrival=ArrivalSpec(kind="poisson", rate_per_s=8.0)
+        )
+        merged = merge_tenant_streams(
+            [generate_requests(workflow, config, seed=s) for s in (1, 2)]
+        )
+        want, _ = reference_merge(
+            [reference_requests(workflow, config, seed=s) for s in (1, 2)]
+        )
+        begun: list[WorkflowRequest] = []
+        begin = OraclePolicy.begin_request
+
+        def recording(self, request):
+            begun.append(request)
+            begin(self, request)
+
+        monkeypatch.setattr(OraclePolicy, "begin_request", recording)
+        session = Session(workflow, samples=300)
+        oracle = session.run("Optimal", merged)
+        _same_bits(begun, want)
+        assert oracle.outcomes == session.run("Optimal", want).outcomes
+        cluster = session.run("Janus", merged, "cluster")
+        assert cluster.outcomes == session.run("Janus", want, "cluster").outcomes
+
+
+def _message(build) -> str:
+    with pytest.raises(FunctionModelError) as info:
+        build()
+    return str(info.value)
+
+
+class _Interference:
+    """Draws ``1 + u``, except on call ``k`` in ``bad``, which returns
+    ``bad[k]``: request ``k // stages``, stage ``k % stages``."""
+
+    def __init__(self, bad: dict[int, float]) -> None:
+        self.bad, self.calls = bad, 0
+
+    def __call__(self, rng: np.random.Generator) -> float:
+        q = self.bad.get(self.calls, 1.0 + float(rng.random()))
+        self.calls += 1
+        return q
+
+
+class TestErrorParity:
+    """A rejected draw raises the reference rows' first error."""
+
+    def test_interference_below_one_in_a_later_chunk(self):
+        workflow = intelligent_assistant()
+        stages = len(workflow.dag.nodes)
+        r = DEFAULT_STREAM_CHUNK + 52
+        bad = {
+            r * stages + 1: 0.75,  # request r, stage 1: the first
+            r * stages + 2: 0.5,
+            (r + 1) * stages: 0.25,
+            (2 * DEFAULT_STREAM_CHUNK + 1) * stages: 0.125,
+        }
+
+        def config(n: int = 5000) -> WorkloadConfig:
+            return WorkloadConfig(n_requests=n, interference=_Interference(bad))
+
+        want = _message(lambda: reference_requests(workflow, config(), seed=2))
+        assert want == "interference must be >= 1: 0.75"
+        assert _message(lambda: generate_requests(workflow, config(), seed=2)) == want
+        assert len(generate_requests(workflow, config(r), seed=2)) == r
+
+    def test_workset_overflow_in_a_later_chunk(self):
+        models = [
+            make_function("S0"),
+            make_function("S1", gamma=0.3, workset=LogUniformWorkset(5.0, 120.0)),
+        ]
+        workflow = Workflow(
+            name="overflow",
+            dag=chain_dag([m.name for m in models]),
+            functions={m.name: m for m in models},
+            slo_ms=2000.0,
+            limits=small_limits(),
+        )
+        n = 5000
+        worksets = generate_requests(
+            workflow, WorkloadConfig(n_requests=n), seed=1
+        ).dynamics("S1")[0]
+        # A scale that overflows exactly the stage-1 worksets above every
+        # one drawn before request ``lo``: the first is past chunk 0.
+        lo = DEFAULT_STREAM_CHUNK + 52
+        ceiling = worksets[:lo].max()
+        first = lo + int(np.argmax(worksets[lo:] > ceiling))
+        assert worksets[first] > ceiling
+        scale = np.finfo(float).max / math.sqrt(ceiling * worksets[first])
+
+        def config(n: int) -> WorkloadConfig:
+            return WorkloadConfig(n_requests=n, workset_scale=scale)
+
+        want = _message(lambda: reference_requests(workflow, config(n), seed=1))
+        assert want == "workset must be finite and > 0: inf"
+        assert _message(lambda: generate_requests(workflow, config(n), seed=1)) == want
+        assert len(generate_requests(workflow, config(first), seed=1)) == first
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_columns_check_in_row_order(self, data):
+        # Workset before interference within an invocation, then stage,
+        # then request: the order rows are built and checked in.
+        shape = (data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4)))
+        size = shape[0] * shape[1]
+        worksets = np.array(data.draw(st.lists(
+            st.sampled_from([1.0, 3.5, 0.0, -2.0, float("inf"), float("nan")]),
+            min_size=size, max_size=size,
+        ))).reshape(shape)
+        interferences = np.array(data.draw(st.lists(
+            st.sampled_from([1.0, 1.5, 0.5, 0.25]), min_size=size, max_size=size,
+        ))).reshape(shape)
+        want = None
+        for w, q in zip(worksets.ravel().tolist(), interferences.ravel().tolist()):
+            try:
+                InvocationDynamics(w, 0.0, q)
+            except FunctionModelError as exc:
+                want = str(exc)
+                break
+        if want is None:
+            check_dynamics(worksets, interferences)
+        else:
+            assert _message(lambda: check_dynamics(worksets, interferences)) == want
