@@ -132,7 +132,7 @@ from .workflow import (
     video_analytics,
 )
 
-__version__ = "1.3.0"
+__version__ = "1.4.0"
 
 __all__ = [
     "__version__",

@@ -537,11 +537,8 @@ class ServerlessPlatform(_ServingPlatform):
         slowdown = self.interference.slowdown(
             model.dominant_resource, n_instances
         )
-        times: list[float] = []
-        for _ in range(samples):
-            dyn = model.sample_dynamics(rng, interference=slowdown)
-            times.append(model.execution_time(size, dyn))
-        return times
+        dynamics = model.sample_dynamics(rng, rng, samples, interference=slowdown)
+        return model.execution_times(size, *dynamics, 1).tolist()
 
 
 @register_executor("cluster")

@@ -148,20 +148,19 @@ class FunctionModel:
     # -- sampling -----------------------------------------------------------
     def sample_dynamics(
         self,
-        rng: np.random.Generator,
+        workset_rng: np.random.Generator,
+        noise_rng: np.random.Generator,
+        size: int,
         interference: "float | np.ndarray" = 1.0,
-        size: int | None = None,
-    ) -> "InvocationDynamics | tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """Draw one invocation's random state; with ``size=n``, the checked
-        ``(worksets, noise_zs, interferences)`` columns of ``n`` invocations,
-        with the bits and generator state of ``n`` scalar calls."""
-        if size is None:
-            return InvocationDynamics(
-                workset=float(self.workset.sample(rng)),
-                noise_z=float(rng.standard_normal()),
-                interference=float(interference),
-            )
-        worksets, noise_zs = self.workset.sample_with_noise(rng, size)
+    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """The checked ``(worksets, noise_zs, interferences)`` columns of
+        ``size`` invocations: one vector draw from each generator. Request
+        streams give each stage a workset and a noise generator of its
+        own, so the columns do not depend on how a stream is chunked."""
+        worksets = np.asarray(
+            self.workset.sample(workset_rng, size=size), dtype=np.float64
+        )
+        noise_zs = noise_rng.standard_normal(size)
         interferences = np.full(size, interference, dtype=np.float64)
         check_dynamics(worksets, interferences)
         return worksets, noise_zs, interferences

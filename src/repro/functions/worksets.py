@@ -7,7 +7,8 @@ published ranges so the execution-time model inherits the documented skew.
 
 Each distribution exposes vectorised sampling (``sample``) plus a
 ``reference`` size used to normalise the workset factor in the performance
-model.
+model. A vector draw equals the same number of scalar draws, so a stream
+drawn from its own generator has the same values however it is chunked.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ __all__ = [
 ]
 
 
-#: ``n`` invocations' (worksets, noise draws), each ``float64[n]``.
-Draws = tuple[np.ndarray, np.ndarray]
-
-
 class WorksetDistribution(abc.ABC):
     """Interface for input working-set samplers."""
 
@@ -43,18 +40,17 @@ class WorksetDistribution(abc.ABC):
 
     @abc.abstractmethod
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Draw working-set size(s). Scalar when ``size`` is ``None``."""
+        """Draw working-set size(s). Scalar when ``size`` is ``None``.
+
+        ``size=n`` must equal ``n`` scalar calls, in values and in the
+        state it leaves ``rng`` in: request streams draw each stage's
+        working sets from a generator of their own, a chunk of any size
+        at a time, and every chunking must replay the same stream.
+        """
 
     @abc.abstractmethod
     def support(self) -> tuple[float, float]:
         """(lower, upper) bounds of possible sizes (may be infinite)."""
-
-    def sample_with_noise(self, rng: np.random.Generator, n: int) -> Draws:
-        """Bit for bit, and generator state for state, ``n`` alternating
-        scalar ``sample(rng)`` / ``rng.standard_normal()`` calls. This loop
-        is exact for any subclass; the built-in ones draw cheaper."""
-        sample, normal = self.sample, rng.standard_normal
-        return _columns([(sample(rng), normal()) for _ in range(n)], n)
 
 
 @dataclass(frozen=True)
@@ -74,10 +70,6 @@ class FixedWorkset(WorksetDistribution):
         if size is None:
             return self.value
         return np.full(size, self.value, dtype=np.float64)
-
-    def sample_with_noise(self, rng: np.random.Generator, n: int) -> Draws:
-        # No workset draw: the noise draws are consecutive normals.
-        return np.full(n, self.value, dtype=np.float64), rng.standard_normal(n)
 
     def support(self) -> tuple[float, float]:
         return (self.value, self.value)
@@ -104,13 +96,6 @@ class UniformIntWorkset(WorksetDistribution):
         if size is None:
             return float(draw)
         return draw.astype(np.float64)
-
-    def sample_with_noise(self, rng: np.random.Generator, n: int) -> Draws:
-        # ``integers`` takes 32-bit halves through the bit generator's
-        # buffer: no vector call interleaves its draws with the normals.
-        integers, normal = rng.integers, rng.standard_normal
-        lo, high = self.lo, self.hi + 1
-        return _columns([(integers(lo, high), normal()) for _ in range(n)], n)
 
     def support(self) -> tuple[float, float]:
         return (float(self.lo), float(self.hi))
@@ -144,14 +129,6 @@ class LogUniformWorkset(WorksetDistribution):
             return float(out)
         return out
 
-    def sample_with_noise(self, rng: np.random.Generator, n: int) -> Draws:
-        # A normal may take extra 64-bit words, so the uniforms are drawn
-        # in a loop; ``lo + (hi - lo) * r`` is ``uniform``'s own formula.
-        random, normal = rng.random, rng.standard_normal
-        r, z = _columns([(random(), normal()) for _ in range(n)], n)
-        lo, hi = np.log(self.lo), np.log(self.hi)
-        return np.exp(lo + (hi - lo) * r), z
-
     def support(self) -> tuple[float, float]:
         return (float(self.lo), float(self.hi))
 
@@ -183,17 +160,5 @@ class LognormalWorkset(WorksetDistribution):
             return float(out)
         return out
 
-    def sample_with_noise(self, rng: np.random.Generator, n: int) -> Draws:
-        # Both draws are normals: even positions are worksets, odd noise.
-        z = rng.standard_normal(2 * n)
-        out = np.minimum(self.median * np.exp(self.sigma * z[0::2]), self.clip_hi)
-        return out, z[1::2].copy()
-
     def support(self) -> tuple[float, float]:
         return (0.0, float(self.clip_hi))
-
-
-def _columns(draws: list, n: int) -> Draws:
-    """Interleaved (workset, noise) pairs as two contiguous columns."""
-    table = np.array(draws, dtype=np.float64).reshape(n, 2)
-    return table[:, 0].copy(), table[:, 1].copy()

@@ -2,12 +2,7 @@
 clairvoyant Optimal oracle (paper §V-A), and the shared policy registry."""
 
 from .base import SizingPolicy
-from .dag import (
-    DagFixedPolicy,
-    DagGrandSLAMPolicy,
-    DagJanusPolicy,
-    DagSizingPolicy,
-)
+from .dag import DagFixedPolicy, DagGrandSLAMPolicy, DagJanusPolicy
 from .early_binding import (
     FixedPlanPolicy,
     GrandSLAMPlusPolicy,
@@ -25,7 +20,6 @@ __all__ = [
     "PolicyBuilder",
     "POLICIES",
     "DEFAULT_SUITE",
-    "DagSizingPolicy",
     "DagFixedPolicy",
     "DagGrandSLAMPolicy",
     "DagJanusPolicy",

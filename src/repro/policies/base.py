@@ -8,17 +8,12 @@ realised execution dynamics (the Optimal oracle).
 The canonical entry point is :meth:`SizingPolicy.size_for_node`, keyed by
 ``(node, request, elapsed_ms)``: a chain is just a degenerate DAG (see
 :func:`repro.workflow.chain.chain_dag`), so one interface serves both
-topologies. Two compatibility shims keep older policies working:
+topologies. :meth:`size_for_stage` — the historical chain API, keyed by
+stage index — maps the index onto :attr:`stage_order` and delegates to
+:meth:`size_for_node`; stage-indexed policies may still override it and
+the base :meth:`size_for_node` routes back through it.
 
-* :meth:`size_for_stage` — the historical chain API, keyed by stage index.
-  The base implementation maps the index onto :attr:`stage_order` and
-  delegates to :meth:`size_for_node`; stage-indexed policies may still
-  override it and the base :meth:`size_for_node` routes back through it.
-* :meth:`size_for_function` — the historical DAG API. It is now a plain
-  alias of :meth:`size_for_node`; legacy policies that override it are
-  dispatched to transparently.
-
-A concrete policy must override at least one of the three methods.
+A concrete policy must override at least one of the two methods.
 """
 
 from __future__ import annotations
@@ -91,19 +86,17 @@ class SizingPolicy(abc.ABC):
     ) -> Millicores:
         """Allocation for ``node`` given time already spent.
 
-        The base implementation dispatches to whichever legacy method the
-        subclass overrides; node-keyed policies override this directly.
+        The base implementation dispatches to :meth:`size_for_stage` when
+        the subclass overrides it; node-keyed policies override this
+        directly.
         """
-        cls = type(self)
-        if cls.size_for_function is not SizingPolicy.size_for_function:
-            return self.size_for_function(node, request, elapsed_ms)
-        if cls.size_for_stage is not SizingPolicy.size_for_stage:
+        if type(self).size_for_stage is not SizingPolicy.size_for_stage:
             return self.size_for_stage(
                 self._stage_index(node), request, elapsed_ms
             )
         raise PolicyError(
             f"{self.name}: policy overrides none of size_for_node / "
-            f"size_for_stage / size_for_function"
+            f"size_for_stage"
         )
 
     def sizes_for_node(
@@ -145,15 +138,6 @@ class SizingPolicy(abc.ABC):
                 f"{self.name}: stage {stage_index} outside order of {len(order)}"
             )
         return self.size_for_node(order[stage_index], request, elapsed_ms)
-
-    def size_for_function(
-        self,
-        function: str,
-        request: WorkflowRequest,
-        elapsed_ms: Milliseconds,
-    ) -> Millicores:
-        """DAG-API compatibility alias of :meth:`size_for_node`."""
-        return self.size_for_node(function, request, elapsed_ms)
 
     def end_request(self, request: WorkflowRequest) -> None:
         """Hook invoked after the last node completes."""

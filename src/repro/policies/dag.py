@@ -2,9 +2,7 @@
 
 These policies answer natively by function name because parallel branches
 have no global stage order. They are plain :class:`SizingPolicy` subclasses
-since the unification of the chain and DAG interfaces — the separate
-``DagSizingPolicy`` base survives only as a deprecated alias for older
-subclasses and ``isinstance`` checks.
+since the unification of the chain and DAG interfaces.
 
 :class:`DagJanusPolicy` is the late-binding adaptation policy over
 per-function hint tables; :class:`DagFixedPolicy` carries a fixed
@@ -28,25 +26,13 @@ from ..workflow.request import WorkflowRequest
 from .base import SizingPolicy
 
 __all__ = [
-    "DagSizingPolicy",
     "DagFixedPolicy",
     "DagGrandSLAMPolicy",
     "DagJanusPolicy",
 ]
 
 
-class DagSizingPolicy(SizingPolicy):
-    """Deprecated: the unified :class:`SizingPolicy` serves both topologies.
-
-    Kept so existing subclasses (which override ``size_for_function``) and
-    ``isinstance`` checks keep working; new policies should subclass
-    :class:`SizingPolicy` and override :meth:`SizingPolicy.size_for_node`.
-    """
-
-    name: str = "dag-policy"
-
-
-class DagFixedPolicy(DagSizingPolicy):
+class DagFixedPolicy(SizingPolicy):
     """Early binding: immutable per-function allocation map."""
 
     def __init__(self, name: str, plan: _t.Mapping[str, Millicores]) -> None:
@@ -115,7 +101,7 @@ class DagGrandSLAMPolicy(DagFixedPolicy):
         super().__init__(name, {n: chosen for n in workflow.dag.nodes})
 
 
-class DagJanusPolicy(DagSizingPolicy):
+class DagJanusPolicy(SizingPolicy):
     """Late binding over per-function hint tables."""
 
     late_binding = True

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import math
 import time
 import typing as _t
 from collections import deque
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from ..cluster.faults import FaultSpec, compile_region_failover
 from ..errors import ExperimentError
@@ -49,7 +48,13 @@ from ..rng import RngFactory, child_seed
 from ..runtime.executor import AnalyticExecutor
 from ..scenarios.registry import scenario_workflow
 from ..synthesis.generator import HeadExploration, synthesize_hints
-from ..traces.workload import ArrivalSpec, draw_dynamics, dynamics_streams
+from ..traces.workload import (
+    ArrivalSpec,
+    ScaleKnob,
+    check_workset_scale,
+    draw_dynamics,
+    dynamics_streams,
+)
 from ..workflow.catalog import Workflow
 from ..workflow.request import (
     DEFAULT_STREAM_CHUNK,
@@ -127,12 +132,12 @@ class ServingConfig:
             )
         last = -1
         for i, (after_n, scale) in enumerate(self.workset_schedule):
-            label = f"ServingConfig.workset_schedule[{i}]"
             require(
-                ExperimentError, f"{label} index (indices ascend)", after_n,
-                at_least(last + 1),
+                ExperimentError,
+                f"ServingConfig.workset_schedule[{i}] index (indices ascend)",
+                after_n, at_least(last + 1),
             )
-            require(ExperimentError, f"{label} scale (--drift)", scale, POSITIVE)
+            require(ExperimentError, _drift_knob(i)[0], scale, POSITIVE)
             last = after_n
         if self.faults is not None and self.faults.kind == "region-failover":
             if self.fleet is None or len(self.fleet.regions) < 2:
@@ -148,6 +153,10 @@ class ServingConfig:
                 f"{self.faults.kind!r} needs the DES cluster platform — "
                 f"run it through a sweep with --executor cluster"
             )
+
+
+def _drift_knob(i: int) -> ScaleKnob:
+    return f"ServingConfig.workset_schedule[{i}] scale (--drift)", ExperimentError
 
 
 @dataclass(frozen=True)
@@ -181,7 +190,10 @@ class ServingLoop:
                 f"serving supports chain workflows, got topology "
                 f"{self.workflow.topology!r} ({self.workflow.name})"
             )
-        # Built before profiling so a window below min_samples fails fast.
+        # Checked or built before profiling, so an overflowing drift scale
+        # or a window below min_samples fails fast.
+        for i, (_, scale) in enumerate(config.workset_schedule):
+            check_workset_scale(self.workflow, scale, _drift_knob(i))
         supervisor = HitMissSupervisor(
             miss_threshold=config.miss_threshold,
             min_samples=config.min_samples,
@@ -283,17 +295,19 @@ class ServingLoop:
     ) -> _t.Iterator[tuple[float, dict[str, _t.Any]]]:
         # ``(workset_scale, stage dynamics)`` per request: the draw of
         # :func:`repro.traces.workload.iter_requests` on the loop's own
-        # streams, DEFAULT_STREAM_CHUNK requests at a time, with the drift
-        # schedule as a column of workset scales; each row is built (and
-        # checks itself) when read. The stream is identical however the
-        # loop is paced or adapted.
+        # streams, DEFAULT_STREAM_CHUNK requests at a time within each
+        # drift step (no value depends on the chunking); each row is built
+        # (and checks itself) when read. The stream is identical however
+        # the loop is paced or adapted.
         stages = dynamics_streams(self.workflow, factory)
-        for lo in itertools.count(0, DEFAULT_STREAM_CHUNK):
-            scales = np.ones(DEFAULT_STREAM_CHUNK)
-            for after_n, scale in self.config.workset_schedule:
-                scales[max(0, after_n - lo) :] = scale
-            columns = draw_dynamics(stages, DEFAULT_STREAM_CHUNK, scales)
-            yield from zip(scales.tolist(), dynamics_rows(columns))
+        # Step -1 is the unscaled start, whose knob is never checked.
+        steps = [(0, 1.0), *self.config.workset_schedule, (math.inf, 1.0)]
+        for i, ((lo, scale), (hi, _)) in enumerate(itertools.pairwise(steps), -1):
+            while lo < hi:
+                m = int(min(DEFAULT_STREAM_CHUNK, hi - lo))
+                columns = draw_dynamics(stages, m, scale, scale_knob=_drift_knob(i))
+                yield from zip(itertools.repeat(scale), dynamics_rows(columns))
+                lo += m
 
     # -- serving ------------------------------------------------------------
     async def _serve(

@@ -16,12 +16,7 @@ from .trace_file import (
     save_trace,
     trace_from_requests,
 )
-from .workload import (
-    ArrivalSpec,
-    WorkloadConfig,
-    generate_requests,
-    shifted_workload,
-)
+from .workload import ArrivalSpec, WorkloadConfig, generate_requests
 
 __all__ = [
     "nhpp_arrivals",
@@ -42,5 +37,4 @@ __all__ = [
     "slack_analysis",
     "WorkloadConfig",
     "generate_requests",
-    "shifted_workload",
 ]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import TraceError
+from ..errors import ReproError, TraceError
 from ..functions.model import FunctionModel, check_dynamics
 from ..knobs import (
     FINITE, FRACTION, NON_NEGATIVE, POSITIVE, UNIT, at_least, check, knob,
@@ -29,11 +29,11 @@ from .diurnal import STORM_MULTIPLIER, DiurnalRate, FlashCrowdRate, RateCurve
 __all__ = [
     "ArrivalSpec",
     "WorkloadConfig",
+    "check_workset_scale",
     "draw_dynamics",
     "dynamics_streams",
     "generate_requests",
     "iter_requests",
-    "shifted_workload",
 ]
 
 InterferenceDraw = _t.Callable[[np.random.Generator], float]
@@ -264,13 +264,14 @@ def iter_requests(
     """Yield the deterministic request stream as column blocks of
     :data:`DEFAULT_STREAM_CHUNK` requests (the last one shorter).
 
-    Each block's dynamics come from one :func:`draw_dynamics` call, with
-    the bits of one scalar draw per request per stage, and are checked as
-    rows would check them; arrivals are drawn in one batch (O(n) floats,
-    the cheap part). A block builds its rows only if they are read, and
-    streaming consumers never hold the full stream.
+    Each block's dynamics come from one :func:`draw_dynamics` call (the
+    values do not depend on the chunk size) and are checked as rows would
+    check them; arrivals are drawn in one batch (O(n) floats, the cheap
+    part). A block builds its rows only if they are read, and streaming
+    consumers never hold the full stream.
     """
     cfg = config or WorkloadConfig()
+    check_workset_scale(workflow, cfg.workset_scale, _WORKSET_SCALE)
     factory = RngFactory(seed).fork("workload", workflow.name)
     arrivals = cfg.arrival_spec().timestamps(
         cfg.n_requests, factory.stream("arrivals"), workflow=workflow.name
@@ -301,41 +302,79 @@ def iter_requests(
         )
 
 
-#: One workflow node's dynamics source: its name, model and stream.
-Stage = tuple[str, FunctionModel, np.random.Generator]
+#: One workflow node's dynamics source: its name, its model, and its
+#: workset and noise streams.
+Stage = tuple[str, FunctionModel, np.random.Generator, np.random.Generator]
+
+#: The knob a working-set scale came from: its label and its config
+#: class's error.
+ScaleKnob = tuple[str, type[ReproError]]
+
+_WORKSET_SCALE: ScaleKnob = ("WorkloadConfig.workset_scale", TraceError)
 
 
 def dynamics_streams(workflow: Workflow, factory: RngFactory) -> list[Stage]:
     """Every DAG node (branching workflows run off-critical-path functions
-    too) with its own ``("dynamics", name)`` stream of ``factory``."""
+    too) with its own ``("dynamics", name, "workset")`` and
+    ``("dynamics", name, "noise")`` streams of ``factory``."""
     return [
-        (name, workflow.model(name), factory.stream("dynamics", name))
+        (
+            name,
+            workflow.model(name),
+            factory.stream("dynamics", name, "workset"),
+            factory.stream("dynamics", name, "noise"),
+        )
         for name in workflow.dag.nodes
     ]
+
+
+def check_workset_scale(
+    workflow: Workflow, scale: float, scale_knob: ScaleKnob
+) -> None:
+    """Raise ``scale_knob``'s error, naming it, if ``scale`` times the upper
+    bound of a stage's working sets overflows a float. A stage with
+    unbounded support fails the same way at the draw that overflows."""
+    for name in workflow.dag.nodes:
+        top = workflow.model(name).workset.support()[1]
+        _check_product(scale, scale_knob, name, top)
+
+
+def _check_product(
+    scale: float, scale_knob: ScaleKnob, name: str, top: float
+) -> None:
+    if top < math.inf and not top * scale < math.inf:
+        label, error = scale_knob
+        raise error(
+            f"{label} must keep working sets finite, got {scale:g} "
+            f"(overflows {name}'s)"
+        )
 
 
 def draw_dynamics(
     stages: _t.Sequence[Stage],
     m: int,
-    workset_scale: "float | np.ndarray" = 1.0,
+    workset_scale: float = 1.0,
     interference: tuple[InterferenceDraw, np.random.Generator] | None = None,
+    scale_knob: ScaleKnob = _WORKSET_SCALE,
 ) -> dict[str, Dynamics]:
     """Each stage's (worksets, noise_zs, interferences) columns for the
-    next ``m`` requests: one ``sample_dynamics(rng, size=m)`` call per
-    stage (the bits of ``m`` scalar calls), working sets times
-    ``workset_scale`` (a factor or one per request; ``x * 1.0`` is exact),
-    and interference from the ``(draw, rng)`` pair per request per stage
-    in row order, else 1.0. Scaled worksets and drawn interference are
-    not checked here: a block checks its columns, a row itself."""
+    next ``m`` requests: one ``sample_dynamics(..., size=m)`` call per
+    stage, working sets times ``workset_scale`` (a product that overflows
+    raises ``scale_knob``'s error), and interference from the ``(draw, rng)``
+    pair per request per stage in row order, else 1.0. Scaled worksets
+    and drawn interference are not checked here: a block checks its
+    columns, a row itself."""
     per_stage_q: _t.Iterable[np.ndarray | None] = itertools.repeat(None)
     if interference is not None:
         draw, rng = interference
         q = [float(draw(rng)) for _ in range(m * len(stages))]
         per_stage_q = np.array(q).reshape(m, len(stages)).T.copy()
     columns = {}
-    for (name, model, rng), qs in zip(stages, per_stage_q):
-        worksets, noise_zs, ones = model.sample_dynamics(rng, size=m)
-        if np.any(workset_scale != 1.0):
+    for (name, model, workset_rng, noise_rng), qs in zip(stages, per_stage_q):
+        worksets, noise_zs, ones = model.sample_dynamics(workset_rng, noise_rng, size=m)
+        if workset_scale != 1.0:
+            top = float(np.abs(worksets).max())
+            _check_product(workset_scale, scale_knob, name, top)
             worksets = worksets * workset_scale
         columns[name] = (worksets, noise_zs, ones if qs is None else qs)
     return columns
@@ -350,21 +389,3 @@ def generate_requests(
     of :func:`iter_requests` joined into one, as columns."""
     chunks = list(iter_requests(workflow, config, seed))
     return RequestBlock.merged(chunks, np.arange(sum(map(len, chunks))))
-
-
-def shifted_workload(
-    workflow: Workflow,
-    n_requests: int,
-    workset_scale: float,
-    seed: int = 0,
-) -> RequestBlock:
-    """A workload whose inputs drifted from the profiled distribution.
-
-    Used to provoke hint-table misses and exercise the supervisor's
-    regeneration loop (paper §III-D).
-    """
-    return generate_requests(
-        workflow,
-        WorkloadConfig(n_requests=n_requests, workset_scale=workset_scale),
-        seed=seed,
-    )

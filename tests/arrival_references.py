@@ -4,10 +4,11 @@ engine replaced, kept verbatim as references for the parity tests.
 Sweeps drew arrivals with one batch function per kind (``*_arrivals``
 below, dispatched by :func:`batch_timestamps`), serving drew them with
 its own unbounded generators (:func:`arrival_source`,
-:func:`fleet_arrival_source`), and the serving loop drew each request's
-dynamics with one scalar ``sample_dynamics`` call per stage
-(:func:`serving_requests`). ``tests/test_arrival_engine.py`` holds
-:mod:`repro.traces.arrivals` and the serving loop to these bit for bit.
+:func:`fleet_arrival_source`). :func:`serving_requests` draws each served
+request's dynamics one scalar draw at a time: per stage, a workset from
+its workset stream and a normal from its noise stream.
+``tests/test_arrival_engine.py`` holds :mod:`repro.traces.arrivals` and
+the serving loop to these bit for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import typing as _t
 import numpy as np
 
 from repro.errors import TraceError
+from repro.functions.model import InvocationDynamics
 from repro.rng import RngFactory
 from repro.traces.diurnal import DiurnalRate, FlashCrowdRate, RateCurve
 from repro.traces.trace_file import WorkloadTrace, cached_trace
@@ -309,7 +311,7 @@ def fleet_arrival_source(
     )
 
 
-# -- the serving loop's per-request draw (ServingLoop._make_request) -------
+# -- the serving loop's draw, one request at a time -------------------------
 
 
 def serving_requests(
@@ -319,12 +321,17 @@ def serving_requests(
     arrivals: _t.Iterable[float],
     workset_schedule: tuple[tuple[int, float], ...] = (),
 ) -> list[WorkflowRequest]:
-    """The requests the serving loop built for ``arrivals``: one scalar
-    ``sample_dynamics`` call per stage per request, scaled by the drift
-    schedule in force at the request's index."""
+    """The requests the serving loop builds for ``arrivals``: per stage per
+    request, one scalar workset draw and one normal from the stage's two
+    streams, the workset scaled by the drift schedule in force at the
+    request's index."""
     factory = RngFactory(seed).fork("serving", workflow.name)
     stage_rngs = {
-        name: factory.stream("dynamics", name) for name in workflow.dag.nodes
+        name: (
+            factory.stream("dynamics", name, "workset"),
+            factory.stream("dynamics", name, "noise"),
+        )
+        for name in workflow.dag.nodes
     }
     out = []
     for index, arrival_ms in enumerate(arrivals):
@@ -334,14 +341,12 @@ def serving_requests(
                 scale = s
         dynamics = {}
         for name in workflow.dag.nodes:
-            dyn = workflow.model(name).sample_dynamics(stage_rngs[name])
-            if scale != 1.0:
-                dyn = type(dyn)(
-                    workset=dyn.workset * scale,
-                    noise_z=dyn.noise_z,
-                    interference=dyn.interference,
-                )
-            dynamics[name] = dyn
+            workset_rng, noise_rng = stage_rngs[name]
+            workset = float(workflow.model(name).workset.sample(workset_rng))
+            dynamics[name] = InvocationDynamics(
+                workset * scale,
+                float(noise_rng.standard_normal()),
+            )
         out.append(
             WorkflowRequest(
                 request_id=index,

@@ -10,7 +10,7 @@ import repro
 from repro.api import ComparisonReport, Session
 from repro.errors import ExperimentError, PolicyError
 from repro.policies import POLICIES, PolicyRegistry, SizingPolicy
-from repro.policies.dag import DagJanusPolicy, DagSizingPolicy
+from repro.policies.dag import DagJanusPolicy
 from repro.policies.early_binding import FixedPlanPolicy
 from repro.profiling.profiler import profile_workflow
 from repro.runtime import (
@@ -216,18 +216,6 @@ class TestUnifiedSizingPolicy:
         assert policy.stage_order is None
         with pytest.raises(PolicyError, match="no stage order bound"):
             policy.size_for_node("F0", req, 0.0)
-
-    def test_legacy_dag_policy_dispatches(self, small_workflow):
-        class LegacyDag(DagSizingPolicy):
-            name = "legacy"
-
-            def size_for_function(self, function, request, elapsed_ms):
-                return 1500
-
-        req = generate_requests(small_workflow, WorkloadConfig(n_requests=1))[0]
-        assert LegacyDag().size_for_node("F0", req, 0.0) == 1500
-        result = AnalyticExecutor(small_workflow).run(LegacyDag(), [req])
-        assert result.outcomes[0].stages[0].size == 1500
 
     def test_worstcase_serves_dag_branches(self, diamond_workflow):
         from repro.policies.early_binding import WorstCasePolicy
@@ -534,7 +522,6 @@ _SEED_PUBLIC_NAMES = [
 #: The removed top-level aliases and the modules that still export them.
 _REMOVED_ALIASES = {
     "DagAnalyticExecutor": "repro.runtime.dag_executor",
-    "DagSizingPolicy": "repro.policies.dag",
     "DagJanusPolicy": "repro.policies.dag",
     "DagGrandSLAMPolicy": "repro.policies.dag",
     "DagWorkflowHints": "repro.synthesis.dag",

@@ -19,35 +19,35 @@ from repro.scenarios.registry import scenario_workflow
 #: samples=400, seed=123, include=(...)) — exact table, pinned.
 GOLDEN_CHAIN = {
     "Optimal": {
-        "mean_allocated_millicores": 3097.5,
-        "mean_slack": 0.09613557223752793,
+        "mean_allocated_millicores": 3040.0,
+        "mean_slack": 0.11681906757998142,
         "normalized_cpu": 1.0,
-        "p50_e2e_ms": 2721.9329144667754,
-        "p99_e2e_ms": 2997.0040407996003,
+        "p50_e2e_ms": 2706.5183433397915,
+        "p99_e2e_ms": 2991.058705449346,
         "violation_rate": 0.0,
     },
     "ORION": {
         "mean_allocated_millicores": 4200.0,
-        "mean_slack": 0.2907602465133176,
-        "normalized_cpu": 1.3559322033898304,
-        "p50_e2e_ms": 2068.8147458011344,
-        "p99_e2e_ms": 2806.899661461441,
+        "mean_slack": 0.3178702383163934,
+        "normalized_cpu": 1.381578947368421,
+        "p50_e2e_ms": 2064.662627486091,
+        "p99_e2e_ms": 2536.9945000934727,
         "violation_rate": 0.0,
     },
     "GrandSLAM": {
         "mean_allocated_millicores": 4500.0,
-        "mean_slack": 0.3289349223126473,
-        "normalized_cpu": 1.4527845036319613,
-        "p50_e2e_ms": 1966.7358873773414,
-        "p99_e2e_ms": 2662.897958637832,
+        "mean_slack": 0.35388165775705405,
+        "normalized_cpu": 1.480263157894737,
+        "p50_e2e_ms": 1955.9310371716315,
+        "p99_e2e_ms": 2420.530969812797,
         "violation_rate": 0.0,
     },
     "Janus": {
-        "mean_allocated_millicores": 3567.5,
-        "mean_slack": 0.18354688412095962,
-        "normalized_cpu": 1.1517352703793382,
-        "p50_e2e_ms": 2436.8589629093385,
-        "p99_e2e_ms": 2881.921690730921,
+        "mean_allocated_millicores": 3517.5,
+        "mean_slack": 0.1998271606000264,
+        "normalized_cpu": 1.1570723684210527,
+        "p50_e2e_ms": 2443.1587648189943,
+        "p99_e2e_ms": 2902.0302116651364,
         "violation_rate": 0.0,
     },
 }
@@ -57,18 +57,18 @@ GOLDEN_CHAIN = {
 GOLDEN_DAG = {
     "GrandSLAM": {
         "mean_allocated_millicores": 4400.0,
-        "mean_slack": 0.41304665367778653,
+        "mean_slack": 0.41677338419380755,
         "normalized_cpu": 1.0,
-        "p50_e2e_ms": 1368.3147852294676,
-        "p99_e2e_ms": 2002.987391257307,
+        "p50_e2e_ms": 1258.2818906108555,
+        "p99_e2e_ms": 1902.8397516603884,
         "violation_rate": 0.0,
     },
     "Janus": {
         "mean_allocated_millicores": 4000.0,
-        "mean_slack": 0.36459916546562543,
+        "mean_slack": 0.36862940934093597,
         "normalized_cpu": 0.9090909090909091,
-        "p50_e2e_ms": 1481.0532377746454,
-        "p99_e2e_ms": 2168.7621027488844,
+        "p50_e2e_ms": 1361.666030652981,
+        "p99_e2e_ms": 2060.481043223871,
         "violation_rate": 0.0,
     },
 }

@@ -5,7 +5,10 @@ is ever accepted) or silently produce NaN / all-zero arrivals and NaN
 worksets; every such knob must now raise a typed error naming itself.
 So must a finite knob whose derived rate, mean gap or thinning cost
 overflows, and an overflow that depends on how many arrivals are drawn
-fails at draw time naming the spec and the index.
+fails at draw time naming the spec and the index. A working-set scale
+that overflows a stage's working sets fails before the first draw (and
+before profiling, when serving), or at the draw when the stage's support
+is unbounded, naming the knob either way.
 """
 
 from __future__ import annotations
@@ -13,17 +16,26 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+import repro.serving.loop as serving_loop
 from repro.cluster.faults import FaultSpec, parse_fault
 from repro.errors import ClusterError, ExperimentError, TraceError
+from repro.functions.model import FunctionModel
+from repro.functions.worksets import LognormalWorkset
+from repro.profiling.profiler import profile_workflow
 from repro.scenarios.matrix import parse_arrival
-from repro.serving import ServingConfig
+from repro.serving import ServingConfig, ServingLoop
 from repro.traces.diurnal import DiurnalRate, FlashCrowdRate, nhpp_arrivals
-from repro.traces.workload import ArrivalSpec, WorkloadConfig
+from repro.traces.workload import ArrivalSpec, WorkloadConfig, generate_requests
 from repro.rng import make_rng
+from repro.workflow.catalog import Workflow, intelligent_assistant
+from repro.workflow.chain import chain_dag
+
+from tests.conftest import make_function, small_limits
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
@@ -278,3 +290,84 @@ SERVE = ["serve", "--max-requests", "40"]
 )
 def test_cli_overflowing_knobs_fail_with_their_name(argv, knob, cli_error):
     assert re.search(knob, cli_error(argv + ["--samples", "300"]))
+
+
+# -- working-set scales that overflow a stage's working sets ----------------
+
+
+def _forbid(monkeypatch, owner, name):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+
+    monkeypatch.setattr(owner, name, forbidden)
+
+
+def test_overflowing_workset_scale_fails_before_the_draw(monkeypatch):
+    # IA's OD stage draws 1-15 objects, and 15 x 1e308 is inf.
+    _forbid(monkeypatch, FunctionModel, "sample_dynamics")
+    config = WorkloadConfig(n_requests=10, workset_scale=1e308)
+    with pytest.raises(
+        TraceError,
+        match=r"^WorkloadConfig\.workset_scale must keep working sets finite, "
+        r"got 1e\+308 \(overflows OD's\)$",
+    ):
+        generate_requests(intelligent_assistant(), config)
+
+
+def test_overflowing_drift_fails_before_profiling(monkeypatch):
+    _forbid(monkeypatch, serving_loop, "profile_workflow")
+    config = ServingConfig(
+        max_requests=40, samples=300, workset_schedule=((5, 2.0), (10, 1e308))
+    )
+    with pytest.raises(
+        ExperimentError, match=r"^ServingConfig\.workset_schedule\[1\] scale"
+    ):
+        ServingLoop(config)
+
+
+def _unbounded_workflow() -> Workflow:
+    models = [
+        make_function("S0"),
+        make_function("S1", gamma=0.3, workset=LognormalWorkset(20.0, 0.8)),
+    ]
+    return Workflow(
+        name="unbounded",
+        dag=chain_dag([m.name for m in models]),
+        functions={m.name: m for m in models},
+        slo_ms=2000.0,
+        limits=small_limits(),
+    )
+
+
+def test_unbounded_support_overflows_at_the_draw_without_a_warning():
+    # S1's working sets are unbounded, so 1e307 passes the bound check
+    # and the first draw above ~18 overflows.
+    workflow = _unbounded_workflow()
+    config = WorkloadConfig(n_requests=50, workset_scale=1e307)
+    profiles = profile_workflow(workflow, samples=200)
+    serving = ServingConfig(
+        max_requests=50, samples=200, workset_schedule=((3, 1.0), (7, 1e307))
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TraceError, match=r"workset_scale .*\(overflows S1's\)$"):
+            generate_requests(workflow, config)
+        loop = ServingLoop(serving, workflow=workflow, profiles=profiles)
+        rows = list(itertools.islice(loop._dynamics, 7))
+        assert [scale for scale, _ in rows] == [1.0] * 7
+        with pytest.raises(
+            ExperimentError,
+            match=r"^ServingConfig\.workset_schedule\[1\] scale .*\(overflows S1's\)$",
+        ):
+            next(loop._dynamics)
+
+
+def test_cli_overflowing_drift_fails_before_profiling(monkeypatch, cli_error):
+    _forbid(monkeypatch, serving_loop, "profile_workflow")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = cli_error(
+            ["serve", "--drift", "10:1e308", "--max-requests", "40",
+             "--samples", "300"]
+        )
+    assert message.startswith("ServingConfig.workset_schedule[0] scale (--drift)")

@@ -1,17 +1,19 @@
-"""Columnar request streams: exact chunked draws and :class:`RequestBlock`.
+"""Columnar request streams: chunked draws and :class:`RequestBlock`.
 
-The chunked generator must reproduce the per-request loop it replaced bit
-for bit (kept here as ``reference_requests``), each workset distribution's
-batched draw must equal ``n`` scalar ``sample_dynamics`` calls including
-the generator state, and the column-based tenant merge and fleet split
-must equal the sort-plus-``replace`` versions they replaced. The batch
-path builds no rows; a rejected draw raises what building the rows
-raised.
+The chunked generator must reproduce the per-request scalar draw bit for
+bit (kept here as ``reference_requests``); each stage's workset and noise
+columns must equal one vector call and ``n`` scalar draws under any
+chunking, including both generators' end state; a stream's values must
+not move with the chunk size; and the column-based tenant merge and
+fleet split must equal the sort-plus-``replace`` versions they replaced.
+The batch path builds no rows; a rejected draw raises what building the
+rows raised.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import pickle
 
@@ -20,8 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.serving.loop as serving_loop
+import repro.traces.workload as workload
 from repro.api import Session
-from repro.errors import FunctionModelError, WorkflowError
+from repro.errors import FunctionModelError, TraceError, WorkflowError
 from repro.fleet import fleet_requests
 from repro.functions.model import FunctionModel, InvocationDynamics, check_dynamics
 from repro.functions.worksets import (
@@ -33,11 +37,13 @@ from repro.functions.worksets import (
 )
 from repro.policies.early_binding import WorstCasePolicy
 from repro.policies.oracle import OraclePolicy
+from repro.profiling.profiler import profile_workflow
 from repro.rng import RngFactory
 from repro.runtime.executor import AnalyticExecutor
 from repro.scenarios import ScenarioMatrix, SweepRunner, parse_arrival, parse_fleet
 from repro.scenarios.registry import scenario_workflow
 from repro.scenarios.runner import _arrival_merge, merge_tenant_streams
+from repro.serving import ServingConfig, ServingLoop
 from repro.traces.workload import (
     ArrivalSpec,
     WorkloadConfig,
@@ -57,8 +63,8 @@ from tests.conftest import make_function, small_limits
 
 @dataclasses.dataclass(frozen=True)
 class TriangularWorkset(WorksetDistribution):
-    """A third-party distribution: only the abstract interface, so its
-    batched draws go through the base class's scalar loop."""
+    """A third-party distribution: only the abstract interface, drawing
+    through its own ``sample(rng, size=n)``."""
 
     @property
     def reference(self) -> float:
@@ -97,7 +103,8 @@ WORKFLOWS = {
 def reference_requests(
     workflow: Workflow, config: WorkloadConfig, seed: int
 ) -> list[WorkflowRequest]:
-    """The per-request, per-stage loop the chunked generator replaced."""
+    """The stream one request at a time: per stage, one scalar workset
+    draw from its workset stream and one normal from its noise stream."""
     factory = RngFactory(seed).fork("workload", workflow.name)
     arrivals = config.arrival_spec().timestamps(
         config.n_requests, factory.stream("arrivals"), workflow=workflow.name
@@ -108,9 +115,14 @@ def reference_requests(
         else workflow.max_concurrency
     )
     stage_rngs = {
-        name: factory.stream("dynamics", name) for name in workflow.dag.nodes
+        name: (
+            factory.stream("dynamics", name, "workset"),
+            factory.stream("dynamics", name, "noise"),
+        )
+        for name in workflow.dag.nodes
     }
     interference_rng = factory.stream("interference")
+    scale = config.workset_scale
     out = []
     for i in range(config.n_requests):
         dynamics = {}
@@ -119,16 +131,18 @@ def reference_requests(
                 config.interference(interference_rng)
                 if config.interference is not None else 1.0
             )
-            dyn = workflow.model(name).sample_dynamics(
-                stage_rngs[name], interference=q
+            workset_rng, noise_rng = stage_rngs[name]
+            workset = float(workflow.model(name).workset.sample(workset_rng))
+            if scale != 1.0:
+                if abs(workset) < math.inf and not abs(workset) * scale < math.inf:
+                    raise TraceError(
+                        f"WorkloadConfig.workset_scale must keep working sets "
+                        f"finite, got {scale:g} (overflows {name}'s)"
+                    )
+                workset *= scale
+            dynamics[name] = InvocationDynamics(
+                workset, float(noise_rng.standard_normal()), float(q)
             )
-            if config.workset_scale != 1.0:
-                dyn = InvocationDynamics(
-                    dyn.workset * config.workset_scale,
-                    dyn.noise_z,
-                    dyn.interference,
-                )
-            dynamics[name] = dyn
         out.append(WorkflowRequest(
             request_id=i,
             arrival_ms=float(arrivals[i]),
@@ -210,36 +224,50 @@ DISTRIBUTIONS = [
 ]
 
 
+def _stage_rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
+    return np.random.default_rng([seed, 0]), np.random.default_rng([seed, 1])
+
+
 class TestBatchedDraws:
     @pytest.mark.parametrize("dist", DISTRIBUTIONS, ids=repr)
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
-        n=st.integers(min_value=1, max_value=700),
-        split=st.integers(min_value=1, max_value=700),
+        sizes=st.lists(st.integers(min_value=1, max_value=600), min_size=1, max_size=5),
     )
-    def test_equals_scalar_calls(self, dist, seed, n, split):
+    def test_equals_scalar_calls(self, dist, seed, sizes):
+        # Chunks of ``sizes``, one call of their sum, and one scalar draw
+        # per invocation give the same bits and leave both generators in
+        # the same state.
         model = FunctionModel("f", 10.0, 100.0, workset=dist)
-        scalar_rng = np.random.default_rng(seed)
-        rows = [model.sample_dynamics(scalar_rng) for _ in range(n)]
-        batch_rng = np.random.default_rng(seed)
-        chunks = [
-            model.sample_dynamics(batch_rng, size=min(split, n - lo))
-            for lo in range(0, n, split)
-        ]
-        worksets, noise_zs, interferences = map(np.concatenate, zip(*chunks))
-        assert worksets.tobytes() == np.array([r.workset for r in rows]).tobytes()
-        assert noise_zs.tobytes() == np.array([r.noise_z for r in rows]).tobytes()
-        assert (interferences == 1.0).all()
-        assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
+        n = sum(sizes)
+        chunked_rngs = _stage_rngs(seed)
+        chunks = [model.sample_dynamics(*chunked_rngs, size=m) for m in sizes]
+        one_rngs = _stage_rngs(seed)
+        one = model.sample_dynamics(*one_rngs, size=n)
+        workset_rng, noise_rng = _stage_rngs(seed)
+        scalar = (
+            np.array([float(dist.sample(workset_rng)) for _ in range(n)]),
+            np.array([float(noise_rng.standard_normal()) for _ in range(n)]),
+            np.ones(n),
+        )
+        for columns in (tuple(map(np.concatenate, zip(*chunks))), one):
+            for got, want in zip(columns, scalar):
+                assert got.dtype == np.float64
+                assert got.tobytes() == want.tobytes()
+        for rngs in (chunked_rngs, one_rngs):
+            for got, want in zip(rngs, (workset_rng, noise_rng)):
+                assert got.bit_generator.state == want.bit_generator.state
 
     def test_interference_broadcast_and_checked(self):
         model = FunctionModel("f", 10.0, 100.0)
         rng = np.random.default_rng(0)
-        _, _, q = model.sample_dynamics(rng, interference=np.array([1.0, 2.5]), size=2)
+        _, _, q = model.sample_dynamics(
+            rng, rng, size=2, interference=np.array([1.0, 2.5])
+        )
         assert q.tolist() == [1.0, 2.5]
         with pytest.raises(FunctionModelError, match="interference must be >= 1"):
-            model.sample_dynamics(rng, interference=0.5, size=3)
+            model.sample_dynamics(rng, rng, size=3, interference=0.5)
 
     def test_one_sample_dynamics_call_per_stage_per_chunk(self, monkeypatch):
         calls = []
@@ -256,6 +284,58 @@ class TestBatchedDraws:
         assert len(stream) == n
         chunks = [DEFAULT_STREAM_CHUNK, DEFAULT_STREAM_CHUNK, 5]
         assert sorted(calls) == sorted(chunks * len(workflow.dag.nodes))
+
+
+def _chunked(monkeypatch, chunk: int) -> None:
+    # Test-only: the chunk size is a module constant, not a knob.
+    for module in (workload, serving_loop):
+        monkeypatch.setattr(module, "DEFAULT_STREAM_CHUNK", chunk)
+
+
+class TestChunkSizeMovesNoBit:
+    """Each stage draws from streams of its own, so no value depends on
+    how many requests are drawn at a time."""
+
+    @pytest.mark.parametrize("name", sorted(WORKFLOWS))
+    def test_generate_requests_columns(self, name, monkeypatch):
+        workflow = WORKFLOWS[name]()
+        n = 2100
+        config = WorkloadConfig(
+            n_requests=n, workset_scale=1.5, interference=_slowdown,
+            arrival=ArrivalSpec(kind="azure", rate_per_s=8.0),
+        )
+
+        def columns(chunk: int) -> list[bytes]:
+            _chunked(monkeypatch, chunk)
+            block = generate_requests(workflow, config, seed=9)
+            assert len(block) == n
+            nodes = workflow.dag.nodes
+            return [
+                column.tobytes()
+                for column in (block.arrivals, block.request_ids)
+                + tuple(itertools.chain(*map(block.dynamics, nodes)))
+            ]
+
+        want = columns(DEFAULT_STREAM_CHUNK)
+        for chunk in (1, 7, n):
+            assert columns(chunk) == want, chunk
+
+    def test_serving_rows(self, monkeypatch):
+        n = 5000
+        config = ServingConfig(
+            workflow="IA", policy="GrandSLAM", samples=200, max_requests=n,
+            workset_schedule=((1000, 2.0), (2049, 0.5)),
+        )
+        profiles = profile_workflow(intelligent_assistant(), samples=200)
+
+        def rows(chunk: int) -> bytes:
+            _chunked(monkeypatch, chunk)
+            loop = ServingLoop(config, profiles=profiles)
+            return pickle.dumps(list(itertools.islice(loop._dynamics, n)))
+
+        want = rows(DEFAULT_STREAM_CHUNK)
+        for chunk in (1, 7, n):
+            assert rows(chunk) == want, chunk
 
 
 def _block(n: int = 12, seed: int = 4) -> RequestBlock:
@@ -554,9 +634,11 @@ class TestErrorParity:
         assert len(generate_requests(workflow, config(r), seed=2)) == r
 
     def test_workset_overflow_in_a_later_chunk(self):
+        # Unbounded support, so no scale fails before the draw: the chunk
+        # that overflows raises the knob's error, as the rows do.
         models = [
             make_function("S0"),
-            make_function("S1", gamma=0.3, workset=LogUniformWorkset(5.0, 120.0)),
+            make_function("S1", gamma=0.3, workset=LognormalWorkset(20.0, 0.8)),
         ]
         workflow = Workflow(
             name="overflow",
@@ -580,10 +662,18 @@ class TestErrorParity:
         def config(n: int) -> WorkloadConfig:
             return WorkloadConfig(n_requests=n, workset_scale=scale)
 
-        want = _message(lambda: reference_requests(workflow, config(n), seed=1))
-        assert want == "workset must be finite and > 0: inf"
-        assert _message(lambda: generate_requests(workflow, config(n), seed=1)) == want
-        assert len(generate_requests(workflow, config(first), seed=1)) == first
+        def message(build) -> str:
+            with pytest.raises(TraceError) as info:
+                build()
+            return str(info.value)
+
+        want = message(lambda: reference_requests(workflow, config(n), seed=1))
+        assert want.startswith("WorkloadConfig.workset_scale must keep working sets")
+        assert want.endswith("(overflows S1's)")
+        with np.errstate(all="raise"):
+            got = message(lambda: generate_requests(workflow, config(n), seed=1))
+            assert got == want
+            assert len(generate_requests(workflow, config(first), seed=1)) == first
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

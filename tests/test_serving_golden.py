@@ -49,28 +49,28 @@ CASES: dict[str, dict] = {
     ),
 }
 
-#: ``(snapshot sha256, event-log sha256)`` per case, generated before the
-#: serving loop drew dynamics a chunk at a time (the per-request draw).
+#: ``(snapshot sha256, event-log sha256)`` per case, regenerated when each
+#: stage's worksets and noise moved to streams of their own (1.4.0).
 GOLDEN: dict[str, tuple[str, str]] = {
     "diurnal-drift": (
-        "728e858fcec717bfc1269289fe4a5fa3e6fdc011e159f1ebe4e38c1949705fc2",
-        "ebc0350973beb44fc642a7e91be8622e488562e95c422282c3f3effb53dc4889",
+        "dd8852865c2b20dd9628ee46544732d5fc2a9bb1ee1f930ce130b897eeaedf70",
+        "524287d8bb49aa9068e22e2d8b7bd2dd7880a4b988da379a3499c3f106636a39",
     ),
     "poisson-drift": (
-        "e6112c2e349f63b56652821bc6eec7c098994037abe0044c41fd88f37f4f6c23",
-        "06303673ca208297aa704f96e9783f275b70e85c29edccb099c175631f13644b",
+        "a86f911f586a490546f8b34a673f639152603e9568f150e0d81d94b50b3f7935",
+        "ee9d38abeea257de82ccaaa0141832ab81dcd962d4c52ab5a3f9023facccb155",
     ),
     "storm": (
-        "c507aab02117933aeee62d1026e23e0ac559a940df6a1aec44fec56c09303ff7",
-        "0e51281dcc4d26d6e36839cd4f02ea5baa28d0cf81016a02754661af19030d07",
+        "b08355713add519b9250bd2f0080ab221740a7775809447ff11eaa8e6c72faa3",
+        "6d0b6ed7d9e798a7b8c1bd4bdecfaa5cdbef3ca42087db5ee87e837299536e57",
     ),
     "fleet-failover": (
-        "a3ae3b466482907cda3872e3359022a7c9e2690bd490e8c4742612f5bc64337a",
-        "dc319b84ff71416efba61eb3d6ec5c960765ec7932429cfb391cb30fb9d5bf20",
+        "79dc3bd698c01522bdc9b59c0681eb4b3661b3defa82b76343a39f67e6ce657f",
+        "a7ade72d57c415594d98251ba0e6062d4fc860142568fde0e35b6ddf28ffb483",
     ),
     "replay": (
-        "8df2226bcf29e5d731420bf18c26edc18f46dd78ef08dcdd4e59bb68e42454e5",
-        "feb6fa8287524fc4b832074ec365d58b3dbe649f29e3a9346ea21829188f7a3d",
+        "a9a987ae31b4c94fabd59eb8cf5504405c07fb70bafa7ca011321ef010c021f3",
+        "c7ea930a16039d13ac717be9ae6310dd2b0fb0ba10b45e67b668b314f01a512f",
     ),
 }
 

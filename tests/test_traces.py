@@ -18,12 +18,7 @@ from repro.traces.trace_file import (
     save_trace,
     trace_from_requests,
 )
-from repro.traces.workload import (
-    ArrivalSpec,
-    WorkloadConfig,
-    generate_requests,
-    shifted_workload,
-)
+from repro.traces.workload import ArrivalSpec, WorkloadConfig, generate_requests
 
 
 def poisson(rate_per_s, n, rng):
@@ -113,7 +108,9 @@ class TestWorkload:
 
     def test_workset_scale(self, small_workflow):
         plain = generate_requests(small_workflow, WorkloadConfig(n_requests=10), seed=4)
-        scaled = shifted_workload(small_workflow, 10, workset_scale=2.0, seed=4)
+        scaled = generate_requests(
+            small_workflow, WorkloadConfig(n_requests=10, workset_scale=2.0), seed=4
+        )
         for a, b in zip(plain, scaled):
             for f in small_workflow.chain:
                 assert b.dynamics_for(f).workset == pytest.approx(

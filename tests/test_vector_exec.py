@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.adapter.adapter import JanusAdapter
 from repro.adapter.supervisor import HitMissSupervisor
 from repro.errors import ExperimentError, FunctionModelError, ProfileError
+from repro.functions.model import InvocationDynamics
 from repro.metrics.streaming import StreamingMoments, StreamingSummary
 from repro.policies.base import SizingPolicy
 from repro.policies.dag import DagFixedPolicy, DagJanusPolicy
@@ -500,7 +501,11 @@ class TestArrayKernels:
         # Optimal oracle evaluates them: every cell equals the scalar call.
         model = make_function("F", gamma=gamma, sigma=0.2)
         rng = np.random.default_rng(5)
-        dyns = [model.sample_dynamics(rng, interference=1.0 + i / 7) for i in range(9)]
+        worksets, noise_zs, _ = model.sample_dynamics(rng, rng, 9)
+        dyns = [
+            InvocationDynamics(w, z, 1.0 + i / 7)
+            for i, (w, z) in enumerate(zip(worksets.tolist(), noise_zs.tolist()))
+        ]
         concs = [1 + i % 3 for i in range(9)]
         ks = np.arange(1000, 3001, 100)
         times = model.execution_times(
